@@ -158,28 +158,32 @@ def rational_reconstruct(r: int, modulus: int) -> Fraction | None:
     return Fraction(n, d)
 
 
-def fraction_matrix_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank of a small rational matrix by Gaussian elimination."""
+def fraction_rref(
+    rows: Sequence[Sequence[Fraction | int]],
+) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (all rows, pivot columns).
+
+    Columns are scanned left to right and each pivot is the first nonzero
+    entry at or below the current row; the rank is the number of pivots.
+    """
     m = [list(map(Fraction, row)) for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [v * inv for v in m[rank]]
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
         for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
+            if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 def primes_covering(bound: int) -> list[int]:

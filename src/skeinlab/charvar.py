@@ -19,6 +19,7 @@ Three consumers of the trace engine live here:
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -199,7 +200,7 @@ def two_bridge_charpoly(pres: TwoBridgePresentation) -> CharVarResult:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate gcd and square-freeness (over Q, for the Phi checks)
+# Square-freeness of Phi: resultant test at integer points, over Q
 # ---------------------------------------------------------------------------
 
 
@@ -235,124 +236,51 @@ def _uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return a
 
 
-def _poly_to_yx(p: Poly) -> dict[int, list[Fraction]]:
-    """Bivariate poly in (t1, t12) as {y_degree: x coefficient list}."""
-    out: dict[int, list[Fraction]] = {}
-    for mono, coeff in p.terms.items():
-        exps = dict(mono)
-        unknown = set(exps) - {T1, T12}
-        if unknown:
-            raise CharVarError(f"not a (t1, t2) polynomial: {unknown}")
-        ex, ey = exps.get(T1, 0), exps.get(T12, 0)
-        row = out.setdefault(ey, [])
-        while len(row) <= ex:
-            row.append(Fraction(0))
-        row[ex] += Fraction(coeff)
-    for ey in list(out):
-        if not _uni_trim(out[ey]):
-            del out[ey]
-    return out
-
-
-def _yx_content(f: dict[int, list[Fraction]]) -> list[Fraction]:
-    content: list[Fraction] = []
-    for row in f.values():
-        content = _uni_gcd(content, row)
-    return content
-
-
-def _yx_scale_div(f: dict[int, list[Fraction]], c: list[Fraction]):
-    out = {}
-    for ey, row in f.items():
-        q, r = _uni_divmod(row, c)
-        if r:
-            raise CharVarError("content division not exact")
-        out[ey] = q
-    return out
-
-
-def _yx_primitive(f: dict[int, list[Fraction]]):
-    if not f:
-        return f, []
-    c = _yx_content(f)
-    return _yx_scale_div(f, c), c
-
-
-def _yx_mul_uni(f: dict[int, list[Fraction]], c: list[Fraction]):
-    out = {}
-    for ey, row in f.items():
-        prod = [Fraction(0)] * (len(row) + len(c) - 1)
-        for i, a in enumerate(row):
-            if a:
-                for j, b in enumerate(c):
-                    prod[i + j] += a * b
-        if _uni_trim(prod):
-            out[ey] = prod
-    return out
-
-
-def _yx_pseudo_rem(f: dict[int, list[Fraction]], g: dict[int, list[Fraction]]):
-    df, dg = max(f), max(g)
-    lead_g = g[dg]
-    r = {k: list(v) for k, v in f.items()}
-    while r and max(r) >= dg:
-        dr = max(r)
-        lead_r = r[dr]
-        # r := lead_g * r - lead_r * y^(dr-dg) * g
-        r = _yx_mul_uni(r, lead_g)
-        shift = dr - dg
-        for ey, row in g.items():
-            prod = [Fraction(0)] * (len(row) + len(lead_r) - 1)
-            for i, a in enumerate(row):
-                if a:
-                    for j, b in enumerate(lead_r):
-                        prod[i + j] += a * b
-            target = r.get(ey + shift, [])
-            width = max(len(target), len(prod))
-            target = target + [Fraction(0)] * (width - len(target))
-            for i, v in enumerate(prod):
-                target[i] -= v
-            if _uni_trim(target):
-                r[ey + shift] = target
-            else:
-                r.pop(ey + shift, None)
-    return r
-
-
-def _yx_gcd(f: dict[int, list[Fraction]], g: dict[int, list[Fraction]]):
-    if not f:
-        return g
-    if not g:
-        return f
-    cf, cg = _yx_content(f), _yx_content(g)
-    content = _uni_gcd(cf, cg)
-    f, _ = _yx_primitive(f)
-    g, _ = _yx_primitive(g)
-    while True:
-        if max(f) < max(g):
-            f, g = g, f
-        r = _yx_pseudo_rem(f, g)
-        if not r:
-            break
-        r, _ = _yx_primitive(r)
-        f, g = g, r
-    return _yx_mul_uni(g, content)
-
-
 def is_square_free(phi: Poly) -> bool:
-    """gcd(Phi, dPhi/dt1, dPhi/dt2) is a constant (characteristic-zero test)."""
+    """True iff Phi in Q[t1, t2] has no repeated nonconstant factor.
+
+    For each variable z in which Phi has positive degree m, with o the other
+    variable, Res_z(Phi, dPhi/dz) must not vanish identically in o.  In
+    characteristic 0 a common factor of Phi and dPhi/dz of positive z-degree
+    is a squared factor, and a squared factor free of z is caught by the
+    other variable's pass.
+
+    The resultant has o-degree at most D = (2m - 1) * deg_o(Phi).  At an
+    integer o = c where the leading z-coefficient of Phi does not vanish it
+    specializes exactly, so it is nonzero there iff gcd(Phi(c, z),
+    dPhi/dz(c, z)) over Q is constant.  Points c = 0, 1, 2, ... where the
+    leading coefficient vanishes are skipped; the first admissible point
+    with a constant gcd passes the variable, and D + 1 admissible points
+    with non-constant gcds prove the resultant identically zero.
+    """
     if phi.is_zero():
         return False
-    if phi.is_constant():
-        return True
-    f = _poly_to_yx(phi)
-    g = _yx_gcd(
-        _poly_to_yx(phi.derivative(T1)), _poly_to_yx(phi.derivative(T12))
-    )
-    common = _yx_gcd(f, g)
-    if not common:
-        return True
-    return max(common) == 0 and len(_uni_trim(common[0])) <= 1
+    exps = []
+    for mono, coeff in phi.terms.items():
+        powers = dict(mono)
+        unknown = set(powers) - {T1, T12}
+        if unknown:
+            raise CharVarError(f"not a (t1, t2) polynomial: {unknown}")
+        exps.append(((powers.get(T1, 0), powers.get(T12, 0)), Fraction(coeff)))
+    for z in (0, 1):
+        terms = [(e[z], e[1 - z], coeff) for e, coeff in exps]
+        m = max(ez for ez, _, _ in terms)
+        if m == 0:
+            continue
+        bound = (2 * m - 1) * max(eo for _, eo, _ in terms)
+        failed = 0
+        for c in itertools.count():
+            f = [Fraction(0)] * (m + 1)
+            for ez, eo, coeff in terms:
+                f[ez] += coeff * c**eo
+            if not f[m]:
+                continue
+            if len(_uni_gcd(f, [k * a for k, a in enumerate(f)][1:])) == 1:
+                break
+            failed += 1
+            if failed > bound:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +486,8 @@ def harvest_relations(
     kind, n = group_spec
     if kind not in ("free", "abelian"):
         raise CharVarError(f"unknown group kind {kind!r}")
+    if degree_bound < 0:
+        raise HarvestError(f"degree bound must be >= 0, got {degree_bound}")
     gen_vars = generator_vars(group_spec)
     monos = monomial_exponents(len(gen_vars), degree_bound)
     if sample_count < 2 * len(monos):
@@ -673,7 +603,7 @@ def tangent_dim_at_trivial(basis: RelationBasis) -> TangentReport:
         row = [Fraction(rel.derivative(v).evaluate(chi0)) for v in gen_vars]
         if any(row):
             rows.append(row)
-    rank = _modlin.fraction_matrix_rank(rows)
+    rank = len(_modlin.fraction_rref(rows)[1])
     return TangentReport(
         basis.group_spec,
         ambient_dim=len(gen_vars),

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import charvar, oracle, selftest, skein, trace_engine
+from . import _modlin, charvar, oracle, selftest, skein, trace_engine
 from .exactpoly import (
     PolyError,
     laurent_to_dict,
@@ -314,6 +314,7 @@ def run(argv=None) -> int:
         EngineError,
         OracleError,
         charvar.CharVarError,
+        _modlin.ModLinError,
         OSError,
         json.JSONDecodeError,
         KeyError,

@@ -1,11 +1,10 @@
 """Exact sparse multivariate polynomials and Laurent polynomials.
 
 Coefficients are exact rationals: plain Python ints wherever possible,
-`fractions.Fraction` (aliased BigRational) once denominators appear.  A
-polynomial is a map from monomials to coefficients; a monomial is a tuple
-of (variable, power) pairs sorted by the variable order.  The global term
-order is graded-lex over the variable order, which keeps serialized
-canonical forms byte-stable.
+`fractions.Fraction` once denominators appear.  A polynomial is a map from
+monomials to coefficients; a monomial is a tuple of (variable, power) pairs
+sorted by the variable order.  The global term order is graded-lex over the
+variable order, which keeps serialized canonical forms byte-stable.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-BigRational = Fraction
 Coeff = int | Fraction
 
 Monomial = tuple  # tuple[tuple[var, int], ...], sorted by var
@@ -398,21 +396,6 @@ def _coerce(x) -> Poly:
     return NotImplemented
 
 
-# Canonical trace forms are Polys over SubsetVar.
-TracePoly = Poly
-
-
-def poly_arith(p: Poly, q: Poly, op: str) -> Poly:
-    """Dispatch form of ring arithmetic: op in {add, sub, mul}."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise PolyError(f"unknown op {op!r}")
-
-
 def _lex_key(m: Monomial, order_pos: Mapping) -> tuple:
     dense = [0] * len(order_pos)
     for v, e in m:
@@ -463,10 +446,6 @@ def poly_divide(p: Poly, d: Poly, var_order: Sequence) -> tuple[Poly, Poly]:
             remainder = remainder + tpoly
             rest = rest - tpoly
     return quotient, remainder
-
-
-def evaluate(p: Poly, assignment: Mapping) -> Coeff:
-    return p.evaluate(assignment)
 
 
 class LaurentPoly:
@@ -642,20 +621,6 @@ class LaurentPoly:
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "LaurentPoly(" + " + ".join(bits) + ")"
-
-
-def laurent_arith(p: LaurentPoly, q: LaurentPoly, op: str) -> LaurentPoly:
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise PolyError(f"unknown op {op!r}")
-
-
-def is_symmetric(p: LaurentPoly) -> bool:
-    return p.is_symmetric()
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,6 @@ def parse_abelian_var(name: str) -> AbelianVar:
     raise SkeinError(f"bad abelian variable name {name!r}")
 
 
-AbelianPoly = Poly  # canonical abelian forms are Polys over AbelianVar
-
-
 @dataclass(frozen=True)
 class SkeinElement:
     """Canonical element of S(F_n) (group='free') or S(Z^n) (group='abelian')."""

@@ -46,6 +46,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import _modlin
 from .exactpoly import Poly, SubsetVar
 from .oracle import SL2IntMatrix, sample_sl2
 from .words import CyclicKey, GroupWord, Letter, cyclic_key, reduce_word
@@ -139,31 +140,13 @@ def _solve_exact(
 
     Free variables are pinned to zero.  Returns None when inconsistent.
     """
-    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    nrows, ncols = len(m), len(rows[0])
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
+    ncols = len(rows[0])
+    m, pivots = _modlin.fraction_rref([row + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [Fraction(0)] * ncols
-    for row, col in pivots:
-        x[col] = m[row][ncols]
+    for row, col in zip(m, pivots):
+        x[col] = row[ncols]
     return x
 
 
@@ -246,22 +229,6 @@ def skein_basis_vars(n: int, mode: ReductionMode) -> list[SubsetVar]:
     return out
 
 
-class MemoTable:
-    """Cache of canonical forms keyed by (CyclicKey, ReductionMode)."""
-
-    def __init__(self) -> None:
-        self.entries: dict[tuple[CyclicKey, ReductionMode], Poly] = {}
-
-    def get(self, key: CyclicKey, mode: ReductionMode) -> Poly | None:
-        return self.entries.get((key, mode))
-
-    def put(self, key: CyclicKey, mode: ReductionMode, poly: Poly) -> None:
-        self.entries[(key, mode)] = poly
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 class TraceEngine:
     """Reduction engine for one mode; reuse one instance to share the memo table."""
 
@@ -269,25 +236,25 @@ class TraceEngine:
         self,
         mode: ReductionMode,
         rule_k4: RuleK4 | None = None,
-        memo: MemoTable | None = None,
+        memo: dict[tuple[CyclicKey, ReductionMode], Poly] | None = None,
     ):
         self.mode = ReductionMode(mode)
         if self.mode is ReductionMode.DYADIC and rule_k4 is None:
             rule_k4 = derive_rule_k4()
         self.rule_k4 = rule_k4
-        self.memo = memo if memo is not None else MemoTable()
+        self.memo = memo if memo is not None else {}
         self.stats: Counter[str] = Counter()
 
     # -- public API ---------------------------------------------------------
 
     def reduce(self, word: GroupWord) -> Poly:
         key = cyclic_key(word)
-        cached = self.memo.get(key, self.mode)
+        cached = self.memo.get((key, self.mode))
         if cached is not None:
             self.stats["r0_memo_hit"] += 1
             return cached
         poly = self._reduce_canonical(key.canonical)
-        self.memo.put(key, self.mode, poly)
+        self.memo[(key, self.mode)] = poly
         return poly
 
     # -- internals ----------------------------------------------------------

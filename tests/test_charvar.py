@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -158,6 +159,22 @@ def test_square_free_detector():
     # Repeated factor involving only t1.
     sq = (v(T1) - 2) * (v(T1) - 2) * (v(T12) + 1)
     assert not is_square_free(sq)
+    # The gcd at t1 = 0 is t2, so the t2 pass must try another point.
+    assert is_square_free(v(T12) * v(T12) - v(T1))
+    # The leading t2-coefficient vanishes at t1 = 0, which must be skipped.
+    assert is_square_free(v(T1) * v(T12) * v(T12) + v(T12) + 1)
+    mixed = v(T1) * v(T12) - 1
+    assert not is_square_free(mixed * mixed * (v(T12) + 3))
+    for var in (T1, T12):
+        assert is_square_free((v(var) - 2) * (v(var) + 1))
+        assert not is_square_free((v(var) - 2) * (v(var) - 2) * (v(var) + 1))
+    t1_minus_5 = v(T1) - 5
+    for length in range(1, 6):
+        for rest in itertools.product((1, -1), repeat=length - 1):
+            phi = two_bridge_charpoly(TwoBridgePresentation((1,) + rest)).Phi
+            assert is_square_free(phi)
+            assert not is_square_free(phi * phi)
+            assert not is_square_free(phi * t1_minus_5 * t1_minus_5)
 
 
 def test_x_z2_identity():

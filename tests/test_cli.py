@@ -178,6 +178,20 @@ def test_harvest_insufficient_samples(capsys):
     assert "insufficient" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["harvest", "--group", "free:2", "--degree", "-1"],
+        ["harvest", "--group", "abelian:3", "--degree", "5", "--seed", "11"],
+    ],
+)
+def test_harvest_bad_input_is_usage_error(capsys, argv):
+    code, _, err = invoke(capsys, argv)
+    assert code == 2
+    assert err.startswith("skeinlab: error: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.slow
 def test_selftest_quick_exits_zero(capsys):
     code, out, _ = invoke(capsys, ["selftest", "--quick"])

@@ -15,7 +15,6 @@ from skeinlab.oracle import (
     subset_trace_assignment,
 )
 from skeinlab.trace_engine import (
-    MemoTable,
     ReductionMode,
     TraceEngine,
     get_engine,
@@ -173,7 +172,7 @@ def test_skein_basis_vars_counts():
 
 
 def test_memo_matches_fresh_recomputation():
-    shared = MemoTable()
+    shared = {}
     warm = TraceEngine(ReductionMode.INTEGRAL, memo=shared)
     rng = random.Random(28)
     words = [
