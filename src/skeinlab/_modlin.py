@@ -18,8 +18,8 @@ import numpy as np
 
 # 31-bit primes: row operations f*row fit in int64.
 NULLSPACE_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
-# 26-bit primes: full int64 matmul of residue matrices stays exact
-# (2^52 per product, summed over < 2^11 columns).
+# 26-bit primes: an int64 matmul of residue matrices stays exact over at most
+# CERTIFY_BLOCK columns (2^11 products < 2^52 each, plus one residue < 2^63).
 CERTIFY_PRIMES = (
     67108859,
     67108837,
@@ -32,6 +32,7 @@ CERTIFY_PRIMES = (
     67108667,
     67108661,
 )
+CERTIFY_BLOCK = 2**11
 
 
 class ModLinError(RuntimeError):

@@ -321,6 +321,13 @@ def run(argv=None) -> int:
     ) as exc:
         print(f"skeinlab: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RecursionError:
+        print(
+            "skeinlab: error: word too deep to reduce: its rewriting nests deeper "
+            f"than the recursion limit ({sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
+        return USAGE_ERROR
 
 
 def main() -> None:

@@ -5,13 +5,15 @@ Coefficients are exact rationals: plain Python ints wherever possible,
 monomials to coefficients; a monomial is a tuple of (variable, power) pairs
 sorted by the variable order.  The global term order is graded-lex over the
 variable order, which keeps serialized canonical forms byte-stable.
+Laurent polynomials key their terms by dense exponent tuples instead; both
+kinds share one implementation of the ring operations (_SparsePoly).
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 Coeff = int | Fraction
@@ -107,32 +109,6 @@ class SubsetVar:
         return "t[" + ",".join(map(str, self.subset)) + "]"
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 is v2 or v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1.sort_key < v2.sort_key:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
 def _mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
@@ -154,27 +130,178 @@ def _mono_normalize(m: Monomial) -> Monomial:
     return tuple(pairs)
 
 
-class Poly:
-    """Sparse multivariate polynomial with exact rational coefficients."""
+def _add_terms(out: dict, items: Iterable) -> dict:
+    """Add (monomial, nonzero normalized coefficient) pairs into out, in place.
+
+    Zero sums are dropped and integral sums become ints, so out stays a valid
+    terms dict.  Returns out.
+    """
+    get = out.get
+    for m, c in items:
+        acc = get(m)
+        if acc is None:
+            out[m] = c
+            continue
+        s = acc + c
+        if s:
+            out[m] = normalize_coeff(s)
+        else:
+            del out[m]
+    return out
+
+
+def _sum_terms(polys: Iterable) -> dict:
+    return _add_terms({}, chain.from_iterable(p.terms.items() for p in polys))
+
+
+class _SparsePoly:
+    """Exact sparse terms {monomial: coefficient} and the ring operations on them.
+
+    Coefficients are never zero, and integral ones are ints.  Poly and
+    LaurentPoly differ only in their monomials.  Each supplies `_mono_mul`
+    (the product of two monomials), `_like` (an element of the same ring
+    around a finished terms dict), `_const` (a constant of that ring) and
+    `_ring` (equal for elements that may be combined).
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
-        self.terms: dict[Monomial, Coeff] = {}
-        if terms:
-            for m, c in terms.items():
-                m = _mono_normalize(m)
-                c = normalize_coeff(self.terms.get(m, 0) + c)
-                if c == 0:
-                    self.terms.pop(m, None)
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _coerce(self, x):
+        if type(x) is type(self):
+            if x._ring != self._ring:
+                raise PolyError(f"rank mismatch: {self._ring} != {x._ring}")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return self._const(x)
+        return NotImplemented
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is type(self):
+            return self._ring == other._ring and self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == self._const(other).terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._ring, frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self._like(_add_terms(dict(self.terms), other.terms.items()))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        mono_mul = self._mono_mul
+        out: dict = {}
+        get = out.get
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                m = mono_mul(m1, m2)
+                acc = get(m)
+                if acc is None:
+                    out[m] = c1 * c2
+                    continue
+                s = acc + c1 * c2
+                if s:
+                    out[m] = s
                 else:
-                    self.terms[m] = c
+                    del out[m]
+        for m, c in out.items():
+            if type(c) is not int:
+                out[m] = normalize_coeff(c)
+        return self._like(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise PolyError("negative power")
+        result = self._const(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+
+class Poly(_SparsePoly):
+    """Sparse multivariate polynomial with exact rational coefficients."""
+
+    __slots__ = ()
+    _ring = None  # all polynomials share one ring, whatever their variables
+    # Bound in Poly itself so that Poly.__dict__ holds them: perfbench's
+    # tracer wraps the multiplication it finds there.
+    __mul__ = __rmul__ = _SparsePoly.__mul__
+
+    def __init__(self, terms: Mapping[Monomial, Coeff] | None = None):
+        items = (terms or {}).items()
+        self.terms: dict[Monomial, Coeff] = _add_terms(
+            {}, ((_mono_normalize(m), normalize_coeff(c)) for m, c in items if c)
+        )
 
     @classmethod
     def _raw(cls, terms: dict[Monomial, Coeff]) -> "Poly":
         p = object.__new__(cls)
         p.terms = terms
         return p
+
+    _like = _raw
+
+    @staticmethod
+    def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+        """Merge two monomials, each sorted by variable."""
+        if not m1:
+            return m2
+        if not m2:
+            return m1
+        out = []
+        i = j = 0
+        n1, n2 = len(m1), len(m2)
+        while i < n1 and j < n2:
+            v1, e1 = m1[i]
+            v2, e2 = m2[j]
+            if v1 is v2 or v1 == v2:
+                out.append((v1, e1 + e2))
+                i += 1
+                j += 1
+            elif v1.sort_key < v2.sort_key:
+                out.append(m1[i])
+                i += 1
+            else:
+                out.append(m2[j])
+                j += 1
+        out.extend(m1[i:])
+        out.extend(m2[j:])
+        return tuple(out)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -185,6 +312,8 @@ class Poly:
         c = normalize_coeff(c)
         return cls._raw({(): c} if c != 0 else {})
 
+    _const = const
+
     @classmethod
     def variable(cls, var) -> "Poly":
         return cls._raw({((var, 1),): 1})
@@ -192,31 +321,10 @@ class Poly:
     @classmethod
     def sum(cls, polys: Iterable["Poly"]) -> "Poly":
         """Sum many polynomials with a single accumulator dict."""
-        out: dict[Monomial, Coeff] = {}
-        for p in polys:
-            for m, c in p.terms.items():
-                acc = out.get(m)
-                s = c if acc is None else acc + c
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        for m, c in list(out.items()):
-            c2 = normalize_coeff(c)
-            if c2 is not c:
-                out[m] = c2
-        return cls._raw(out)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls._raw(_sum_terms(polys))
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
-    def constant_value(self) -> Coeff:
-        if not self.is_constant():
-            raise PolyError("polynomial is not constant")
-        return self.terms.get((), 0)
 
     def variables(self) -> list:
         seen = set()
@@ -229,82 +337,6 @@ class Poly:
         if not self.terms:
             return 0
         return max(_mono_degree(m) for m in self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Poly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == Poly.const(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other) -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            s = c if acc is None else normalize_coeff(acc + c)
-            if s == 0:
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return Poly._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly._raw({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other) -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[Monomial, Coeff] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = _mono_mul(m1, m2)
-                c = c1 * c2
-                acc = out.get(m)
-                s = c if acc is None else acc + c
-                if s == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        for m, c in list(out.items()):
-            c2 = normalize_coeff(c)
-            if c2 is not c:
-                out[m] = c2
-        return Poly._raw(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise PolyError("negative polynomial power")
-        result = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in descending graded-lex order (leading term first)."""
@@ -319,11 +351,6 @@ class Poly:
             return (_mono_degree(m), tuple(dense))
 
         return sorted(self.terms.items(), key=key, reverse=True)
-
-    def leading(self) -> tuple[Monomial, Coeff]:
-        if not self.terms:
-            raise PolyError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
 
     def evaluate(self, assignment: Mapping) -> Coeff:
         """Exact value at a variable assignment covering all variables."""
@@ -356,44 +383,25 @@ class Poly:
         return Poly.sum(pieces)
 
     def derivative(self, var) -> "Poly":
-        out: dict[Monomial, Coeff] = {}
+        pieces = []
         for m, c in self.terms.items():
             for i, (v, e) in enumerate(m):
                 if v == var:
                     rest = m[:i] + ((v, e - 1),) + m[i + 1 :] if e > 1 else m[:i] + m[i + 1 :]
-                    prev = out.get(rest, 0)
-                    s = normalize_coeff(prev + c * e)
-                    if s == 0:
-                        out.pop(rest, None)
-                    else:
-                        out[rest] = s
+                    pieces.append((rest, normalize_coeff(c * e)))
                     break
-        return Poly._raw(out)
+        return Poly._raw(_add_terms({}, pieces))
 
     def map_variables(self, fn) -> "Poly":
         """Rebuild the polynomial with each variable replaced by fn(var)."""
-        out: dict[Monomial, Coeff] = {}
-        for m, c in self.terms.items():
-            pairs = sorted(((fn(v), e) for v, e in m), key=lambda p: p[0].sort_key)
-            key = tuple(pairs)
-            prev = out.get(key)
-            s = c if prev is None else normalize_coeff(prev + c)
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Poly._raw(out)
+        pieces = (
+            (tuple(sorted(((fn(v), e) for v, e in m), key=lambda p: p[0].sort_key)), c)
+            for m, c in self.terms.items()
+        )
+        return Poly._raw(_add_terms({}, pieces))
 
     def __repr__(self) -> str:
         return f"Poly({poly_pretty(self)})"
-
-
-def _coerce(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Poly.const(x)
-    return NotImplemented
 
 
 def _lex_key(m: Monomial, order_pos: Mapping) -> tuple:
@@ -448,10 +456,15 @@ def poly_divide(p: Poly, d: Poly, var_order: Sequence) -> tuple[Poly, Poly]:
     return quotient, remainder
 
 
-class LaurentPoly:
-    """Exact Laurent polynomial in n commuting variables x_1, ..., x_n."""
+class LaurentPoly(_SparsePoly):
+    """Exact Laurent polynomial in n commuting variables x_1, ..., x_n.
 
-    __slots__ = ("rank", "terms")
+    Monomials are dense exponent tuples of length `rank`.
+    """
+
+    __slots__ = ("rank",)
+    # Bound here for the same reason as in Poly.
+    __mul__ = __rmul__ = _SparsePoly.__mul__
 
     def __init__(self, rank: int, terms: Mapping[tuple[int, ...], Coeff] | None = None):
         if rank < 1:
@@ -473,6 +486,20 @@ class LaurentPoly:
         p.terms = terms
         return p
 
+    @property
+    def _ring(self) -> int:
+        return self.rank
+
+    def _like(self, terms: dict[tuple[int, ...], Coeff]) -> "LaurentPoly":
+        return LaurentPoly._raw(self.rank, terms)
+
+    def _const(self, c: Coeff) -> "LaurentPoly":
+        return LaurentPoly.const(self.rank, c)
+
+    @staticmethod
+    def _mono_mul(e1: tuple[int, ...], e2: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(operator.add, e1, e2))
+
     @classmethod
     def zero(cls, rank: int) -> "LaurentPoly":
         return cls._raw(rank, {})
@@ -489,94 +516,7 @@ class LaurentPoly:
 
     @classmethod
     def sum(cls, rank: int, polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
-        out: dict[tuple[int, ...], Coeff] = {}
-        for p in polys:
-            for ev, c in p.terms.items():
-                s = out.get(ev, 0) + c
-                if s == 0:
-                    out.pop(ev, None)
-                else:
-                    out[ev] = s
-        for ev, c in list(out.items()):
-            out[ev] = normalize_coeff(c)
-        return cls._raw(rank, out)
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.rank != other.rank:
-            raise PolyError(f"rank mismatch: {self.rank} != {other.rank}")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self.rank == other.rank and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == LaurentPoly.const(self.rank, other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rank, frozenset(self.terms.items())))
-
-    def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        self._check(other)
-        out = dict(self.terms)
-        for ev, c in other.terms.items():
-            s = normalize_coeff(out.get(ev, 0) + c)
-            if s == 0:
-                out.pop(ev, None)
-            else:
-                out[ev] = s
-        return LaurentPoly._raw(self.rank, out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.rank, {ev: -c for ev, c in self.terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return self._coerce(other) + (-self)
-
-    def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        self._check(other)
-        out: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                ev = tuple(map(operator.add, e1, e2))
-                s = out.get(ev, 0) + c1 * c2
-                if s == 0:
-                    out.pop(ev, None)
-                else:
-                    out[ev] = s
-        for ev, c in list(out.items()):
-            out[ev] = normalize_coeff(c)
-        return LaurentPoly._raw(self.rank, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise PolyError("negative power of a Laurent polynomial")
-        result = LaurentPoly.const(self.rank, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def _coerce(self, x) -> "LaurentPoly":
-        if isinstance(x, LaurentPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return LaurentPoly.const(self.rank, x)
-        raise PolyError(f"cannot coerce {x!r} to LaurentPoly")
+        return cls._raw(rank, _sum_terms(polys))
 
     def invert_variables(self) -> "LaurentPoly":
         """Image under the involution x_i -> x_i^(-1)."""
@@ -644,10 +584,6 @@ def poly_to_dict(p: Poly) -> dict:
             for m, c in p.sorted_terms()
         ]
     }
-
-
-def poly_to_json(p: Poly) -> str:
-    return json.dumps(poly_to_dict(p), indent=2)
 
 
 def poly_from_dict(data: Mapping, var_parser=None) -> Poly:

@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, Sequence
 from . import _modlin
 from .exactpoly import Poly, SubsetVar
 from .oracle import SL2IntMatrix, sample_sl2
-from .words import CyclicKey, GroupWord, Letter, cyclic_key, reduce_word
+from .words import GroupWord, Letter, cyclic_key, reduce_word
 
 
 class EngineError(ValueError):
@@ -77,9 +77,6 @@ class RuleK4:
     coefficients: tuple[tuple[RuleMonomial, Fraction | int], ...]
     weight_bound: int
     seed: int
-
-    def as_dict(self) -> dict[RuleMonomial, Fraction | int]:
-        return dict(self.coefficients)
 
 
 _RULE_SUBSETS: tuple[tuple[int, ...], ...] = tuple(
@@ -236,7 +233,7 @@ class TraceEngine:
         self,
         mode: ReductionMode,
         rule_k4: RuleK4 | None = None,
-        memo: dict[tuple[CyclicKey, ReductionMode], Poly] | None = None,
+        memo: dict[tuple[GroupWord, ReductionMode], Poly] | None = None,
     ):
         self.mode = ReductionMode(mode)
         if self.mode is ReductionMode.DYADIC and rule_k4 is None:
@@ -253,7 +250,7 @@ class TraceEngine:
         if cached is not None:
             self.stats["r0_memo_hit"] += 1
             return cached
-        poly = self._reduce_canonical(key.canonical)
+        poly = self._reduce_canonical(key)
         self.memo[(key, self.mode)] = poly
         return poly
 

@@ -41,13 +41,6 @@ class GroupWord:
 
 
 @dataclass(frozen=True, slots=True)
-class CyclicKey:
-    """Canonical representative of a word's {rotations} + {inverse rotations} orbit."""
-
-    canonical: GroupWord
-
-
-@dataclass(frozen=True, slots=True)
 class AbelianVector:
     """Element of Z^rank; the zero vector is the identity."""
 
@@ -150,7 +143,7 @@ def _cyclic_reduce(letters: Sequence[Letter]) -> list[Letter]:
     return out
 
 
-def cyclic_key(w: GroupWord) -> CyclicKey:
+def cyclic_key(w: GroupWord) -> GroupWord:
     """Canonical form of w under rotations and inversion.
 
     The canonical word is the least, under word_sort_key, among all rotations
@@ -158,14 +151,14 @@ def cyclic_key(w: GroupWord) -> CyclicKey:
     """
     core = _cyclic_reduce(w.letters)
     if not core:
-        return CyclicKey(GroupWord(w.rank, ()))
+        return GroupWord(w.rank, ())
     candidates: list[tuple[Letter, ...]] = []
     for base in (core, _cyclic_reduce(invert(GroupWord(w.rank, tuple(core))).letters)):
         n = len(base)
         for i in range(n):
             candidates.append(tuple(base[i:]) + tuple(base[:i]))
     best = min(candidates, key=word_sort_key)
-    return CyclicKey(GroupWord(w.rank, best))
+    return GroupWord(w.rank, best)
 
 
 _LETTER_NAMES = "abcd"

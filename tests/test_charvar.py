@@ -9,6 +9,7 @@ from skeinlab.charvar import (
     HarvestError,
     TwoBridgeDivisionError,
     TwoBridgePresentation,
+    _certified_zero,
     abelian_divisor,
     check_x_z2_identity,
     generator_vars,
@@ -17,16 +18,17 @@ from skeinlab.charvar import (
     monomial_exponents,
     parse_group_spec,
     relation_from_dict,
-    substitute_x_z2,
     tangent_dim_at_trivial,
     two_bridge_charpoly,
     two_bridge_numerator,
     verify_relations_on_fresh_samples,
     x_z2_relation_poly,
 )
-from skeinlab.exactpoly import Poly, SubsetVar
+from skeinlab.exactpoly import LaurentPoly, Poly, SubsetVar
 from skeinlab.oracle import Representation, eval_word, sample_sl2
 from skeinlab.selftest import _frac_mat_mul, trefoil_rational_representation
+from skeinlab.skein import SkeinElement, to_laurent
+from skeinlab.trace_engine import ReductionMode
 from skeinlab.words import reduce_word
 
 T1 = SubsetVar((1,))
@@ -179,8 +181,22 @@ def test_square_free_detector():
 
 def test_x_z2_identity():
     assert check_x_z2_identity()
-    assert check_x_z2_identity("swapped")
-    assert not substitute_x_z2(x_z2_relation_poly(offset=5)).is_zero()
+    off_by_one = SkeinElement(
+        2, ReductionMode.DYADIC, "abelian", x_z2_relation_poly(offset=5)
+    )
+    assert to_laurent(off_by_one) == LaurentPoly.const(2, -1)
+
+
+def test_certified_zero_sums_past_int64_in_blocks():
+    # Value -1 and coefficient -1 both have residue q - 1, so each of the
+    # first 2,100 columns adds (q - 1)^2 ~ 2^52 to the int64 dot product:
+    # more than 2^63 in one sum.  The exact value is 2100 - 2100 = 0.
+    columns = 4200
+    relation = [-1] * (columns // 2) + [1] * (columns // 2)
+    monos = [(1,)] * columns
+    assert _certified_zero([(-1,)], monos, [relation], 1)
+    relation[-1] = -1
+    assert not _certified_zero([(-1,)], monos, [relation], 1)
 
 
 def test_parse_group_spec():

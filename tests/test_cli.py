@@ -192,6 +192,16 @@ def test_harvest_bad_input_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_deep_word_has_no_traceback(capsys):
+    # Exit 0 is allowed for an engine that no longer recurses per letter.
+    code, _, err = invoke(capsys, ["reduce", "--rank", "2", "a^400 b"])
+    assert code in {0, 2}
+    if code == 2:
+        assert err.startswith("skeinlab: error: ")
+        assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.slow
 def test_selftest_quick_exits_zero(capsys):
     code, out, _ = invoke(capsys, ["selftest", "--quick"])

@@ -8,6 +8,7 @@ from skeinlab.exactpoly import (
     LaurentPoly,
     Poly,
     PolyDivisionError,
+    PolyError,
     PolyEvalError,
     SubsetVar,
     is_dyadic,
@@ -137,8 +138,32 @@ def test_laurent_arith_examples():
 
 
 def test_laurent_rank_mismatch():
-    with pytest.raises(Exception):
-        LaurentPoly.monomial(2, (1, 0)) + LaurentPoly.monomial(3, (1, 0, 0))
+    assert LaurentPoly.zero(2) != LaurentPoly.zero(3)
+    assert LaurentPoly.const(2, 1) != LaurentPoly.const(3, 1)
+    x2, x3 = LaurentPoly.monomial(2, (1, 0)), LaurentPoly.monomial(3, (1, 0, 0))
+    with pytest.raises(PolyError):
+        x2 + x3
+    with pytest.raises(PolyError):
+        x2 * x3
+
+
+@pytest.mark.parametrize(
+    "x, total",
+    [
+        (v(T1), Poly.sum),
+        (LaurentPoly.monomial(2, (1, -1)), lambda ps: LaurentPoly.sum(2, ps)),
+    ],
+    ids=["Poly", "LaurentPoly"],
+)
+def test_shared_sparse_core(x, total):
+    assert (x - x).is_zero()
+    assert x**0 == 1
+    half, three_halves = Fraction(1, 2) * x, Fraction(3, 2) * x
+    for doubled in (half + three_halves, half * 4, total([three_halves, half])):
+        assert doubled == 2 * x
+        assert all(type(c) is int for c in doubled.terms.values())
+    assert all(type(c) is int for c in (half * (4 * x)).terms.values())
+    assert total([x, half, -x, -half]).terms == {}
 
 
 def test_is_symmetric_examples():

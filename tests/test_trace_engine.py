@@ -6,7 +6,7 @@ from skeinlab.exactpoly import (
     SubsetVar,
     is_dyadic,
     is_integral,
-    poly_to_json,
+    poly_to_dict,
 )
 from skeinlab.oracle import (
     eval_word,
@@ -191,7 +191,7 @@ def test_memo_matches_fresh_recomputation():
 
 def test_deterministic_json_output():
     w = parse_word("a b^-1 a c^2", 3)
-    one = poly_to_json(reduce_trace(w, ReductionMode.INTEGRAL))
-    two = poly_to_json(TraceEngine(ReductionMode.INTEGRAL).reduce(w))
+    one = json.dumps(poly_to_dict(reduce_trace(w, ReductionMode.INTEGRAL)))
+    two = json.dumps(poly_to_dict(TraceEngine(ReductionMode.INTEGRAL).reduce(w)))
     assert one == two
     json.loads(one)
