@@ -1,105 +1,138 @@
 """Modular linear algebra kernels for relation harvesting.
 
-The nullspace of the big evaluation matrix is found modulo machine-word
-primes (numpy int64 row operations stay exact because residues are < 2^31),
-lifted to the rationals by CRT + rational reconstruction, and then the
-candidate relations are certified exactly: a relation value is declared zero
-only when it vanishes modulo enough additional primes that their product
-exceeds twice a rigorous a-priori bound on the numerator.
+Every modular step draws from one prime family, the primes below 2^23, and
+does its heavy arithmetic in one exact kernel, `matmul_mod_p`: float64 BLAS
+products over chunks short enough to stay below 2^53, reduced once per chunk
+(the delayed reduction of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS
+35(3), 2008).  The harvest finds nullspaces modulo a few primes, lifts them
+by CRT + rational reconstruction, and certifies the candidates exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-# 31-bit primes: row operations f*row fit in int64.
-NULLSPACE_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
-# 26-bit primes: an int64 matmul of residue matrices stays exact over at most
-# CERTIFY_BLOCK columns (2^11 products < 2^52 each, plus one residue < 2^63).
-CERTIFY_PRIMES = (
-    67108859,
-    67108837,
-    67108819,
-    67108777,
-    67108763,
-    67108729,
-    67108693,
-    67108669,
-    67108667,
-    67108661,
-)
-CERTIFY_BLOCK = 2**11
+PRIME_LIMIT = 2**23
+# 128 * (p - 1)^2 + (p - 1) < 2^53 for every p < 2^23: a chunk's products,
+# plus one reduced residue carried in, sum exactly in float64.
+CHUNK = 128
+# Column width of one panel of the blocked elimination.
+PANEL = 64
 
 
-class ModLinError(RuntimeError):
-    pass
+def primes() -> Iterator[int]:
+    """The one prime family: every prime below 2^23, largest first."""
+    for n in range(PRIME_LIMIT - 1, 2, -2):
+        if all(n % d for d in range(3, isqrt(n) + 1, 2)):
+            yield n
+
+
+def matmul_mod_p(
+    a: np.ndarray, b: np.ndarray, p: int, c: np.ndarray | None = None
+) -> np.ndarray:
+    """(c + a @ b) mod p as float64, for residue arrays a, b (and c) mod p < 2^23."""
+    if not 1 < p < PRIME_LIMIT:
+        raise ValueError(f"modulus {p} is outside the exact float64 range (1, 2^23)")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    out = np.zeros((a.shape[0], b.shape[1])) if c is None else c
+    for k in range(0, a.shape[1], CHUNK):
+        prod = a[:, k : k + CHUNK] @ b[k : k + CHUNK]
+        prod += out
+        q = prod * (1.0 / p)
+        np.floor(q, out=q)
+        q *= p
+        prod -= q
+        # The rounded quotient is off by at most one: one correction either way.
+        if prod.min(initial=0) < 0:
+            prod[prod < 0] += p
+        if prod.max(initial=0) >= p:
+            prod[prod >= p] -= p
+        out = prod
+    return out if a.shape[1] else np.array(out, dtype=np.float64)
+
+
+def _gauss_jordan(a: np.ndarray, p: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Unblocked Gauss-Jordan of a narrow int64 residue array over GF(p), in place.
+
+    Pivots are taken column by column, each from the first nonzero row at or
+    below the current one, and swapped up.  Returns the pivot columns and the
+    row swaps, in order.
+    """
+    pivots: list[int] = []
+    swaps: list[tuple[int, int]] = []
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == a.shape[0]:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            i = r + int(nz[0])
+            a[[r, i]] = a[[i, r]]
+            swaps.append((r, i))
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        nzr = np.flatnonzero(col)
+        if nzr.size:
+            a[nzr, c:] = (a[nzr, c:] - np.outer(col[nzr], a[r, c:])) % p
+        pivots.append(c)
+    return pivots, swaps
 
 
 def rref_mod_p(matrix: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(p); returns (rref rows, pivot columns).
 
-    Forward elimination touches only the trailing columns of each pivot row;
-    back-substitution then clears the entries above the pivots.  All row
-    operations stay within int64 because residues are below 2^31.
+    Right-looking blocked Gauss-Jordan over panels of PANEL columns.  An
+    unblocked elimination of the panel picks its pivot rows, first among the
+    next PANEL rows and among all the rows only if that missed a pivot.  The
+    picked rows are swapped up and multiplied by the inverse of their pivot
+    block, and one `matmul_mod_p` clears every other row.  A pivot of some
+    rows is a pivot of all, and a panel is done once the rows below the
+    pivot rows vanish on it; as the RREF is unique, sorting the pivot rows by
+    pivot column gives it.
     """
-    m = matrix.astype(np.int64, copy=True) % p
+    m = (np.asarray(matrix) % p).astype(np.float64)
     rows, cols = m.shape
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r, c:] = (m[r, c:] * inv) % p
-        col = m[r + 1 :, c]
-        nzr = np.nonzero(col)[0]
-        if nzr.size:
-            m[r + 1 + nzr, c:] = (
-                m[r + 1 + nzr, c:] - np.outer(col[nzr], m[r, c:])
-            ) % p
-        pivots.append(c)
-        r += 1
-    # Back-substitution over the echelon rows.
-    for i in range(len(pivots) - 1, 0, -1):
-        c = pivots[i]
-        col = m[:i, c]
-        nzr = np.nonzero(col)[0]
-        if nzr.size:
-            m[nzr, c:] = (m[nzr, c:] - np.outer(col[nzr], m[i, c:])) % p
-    return m[: len(pivots)], pivots
+    for c0 in range(0, cols, PANEL):
+        for head in (PANEL, rows):
+            r = len(pivots)
+            panel = m[r : r + head, c0 : c0 + PANEL].astype(np.int64)
+            found, swaps = _gauss_jordan(panel, p)
+            if found:
+                for i, j in swaps:
+                    m[[r + i, r + j]] = m[[r + j, r + i]]
+                k = len(found)
+                pcols = [c0 + c for c in found]
+                block = np.hstack([m[r : r + k, pcols], np.eye(k)]).astype(np.int64)
+                _gauss_jordan(block, p)
+                m[r : r + k, c0:] = matmul_mod_p(block[:, k:], m[r : r + k, c0:], p)
+                factors = (p - m[:, pcols]) % p
+                factors[r : r + k] = 0
+                m[:, c0:] = matmul_mod_p(factors, m[r : r + k, c0:], p, m[:, c0:])
+                pivots += pcols
+            if not m[len(pivots) :, c0 : c0 + PANEL].any():
+                break
+    order = np.argsort(pivots)
+    return m[order].astype(np.int64), [pivots[i] for i in order]
 
 
 def nullspace_from_rref(
     rref: np.ndarray, pivots: list[int], cols: int, p: int
 ) -> np.ndarray:
     """Canonical nullspace basis: column j has a 1 in the j-th free coordinate."""
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
+    free = sorted(set(range(cols)) - set(pivots))
     basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for j, fc in enumerate(free):
-        basis[fc, j] = 1
-        if pivots:
-            basis[pivots, j] = (-rref[: len(pivots), fc]) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots] = (-rref[:, free]) % p
     return basis
-
-
-def matvec_mod_p(matrix: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
-    """matrix @ vec mod p with int64-safe accumulation (residues < 2^31)."""
-    acc = np.zeros(matrix.shape[0], dtype=np.int64)
-    nz = np.nonzero(vec)[0]
-    for j in nz:
-        acc = (acc + matrix[:, j] * int(vec[j])) % p
-    return acc
 
 
 def nullspace_mod_p(
@@ -112,31 +145,21 @@ def nullspace_mod_p(
     the elimination.  Equivalent to the full RREF nullspace but much cheaper
     when the row count is a multiple of the column count.
     """
-    m = matrix.astype(np.int64, copy=False) % p
-    rows, cols = m.shape
-    head = min(rows, cols + margin)
-    active = m[:head]
-    rest = m[head:]
+    m = np.asarray(matrix, dtype=np.int64) % p
+    cols = m.shape[1]
+    active, rest = m[: cols + margin], m[cols + margin :]
     while True:
         rref, pivots = rref_mod_p(active, p)
         basis = nullspace_from_rref(rref, pivots, cols, p)
-        if basis.shape[1] == 0 or rest.shape[0] == 0:
+        bad = matmul_mod_p(rest, basis, p).any(axis=1)
+        if not bad.any():
             return basis, pivots
-        bad_rows: set[int] = set()
-        for j in range(basis.shape[1]):
-            resid = matvec_mod_p(rest, basis[:, j], p)
-            bad_rows.update(int(i) for i in np.nonzero(resid)[0])
-        if not bad_rows:
-            return basis, pivots
-        picked = sorted(bad_rows)
-        active = np.vstack([rref, rest[picked]])
-        keep = np.ones(rest.shape[0], dtype=bool)
-        keep[picked] = False
-        rest = rest[keep]
+        active = np.vstack([rref, rest[bad]])
+        rest = rest[~bad]
 
 
-def crt_pair(a: int, p: int, b: int, q: int) -> int:
-    """x mod p*q with x = a mod p, x = b mod q."""
+def crt_pair(a, p: int, b, q: int):
+    """x mod p*q with x = a mod p, x = b mod q (elementwise on object arrays)."""
     inv = pow(p % q, q - 2, q)
     return (a + ((b - a) * inv % q) * p) % (p * q)
 
@@ -188,14 +211,12 @@ def fraction_rref(
 
 
 def primes_covering(bound: int) -> list[int]:
-    """A prefix of CERTIFY_PRIMES whose product exceeds 2*bound + 1."""
+    """The shortest prefix of primes() whose product exceeds 2*bound."""
     chosen: list[int] = []
     prod = 1
-    for p in CERTIFY_PRIMES:
+    for p in primes():
         if prod > 2 * bound:
             break
         chosen.append(p)
         prod *= p
-    if prod <= 2 * bound:
-        raise ModLinError("certification bound exceeds available prime capacity")
     return chosen

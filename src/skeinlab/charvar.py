@@ -395,26 +395,23 @@ def _values_mod_p(values: np.ndarray | list, p: int) -> np.ndarray:
 def _monomial_matrix_mod_p(
     samples: Sequence[Sequence], monos: Sequence[tuple[int, ...]], p: int
 ) -> np.ndarray:
-    nvars = len(samples[0])
-    degmax = max((max(m) if m else 0 for m in monos), default=0)
-    base = np.empty((len(samples), nvars), dtype=np.int64)
-    for s, values in enumerate(samples):
-        base[s] = _values_mod_p(values, p)
-    # power_table[v][k] = column of v-th generator values to the k-th power
-    power_table = []
-    for v in range(nvars):
-        powers = [np.ones(len(samples), dtype=np.int64)]
-        for _ in range(degmax):
-            powers.append(powers[-1] * base[:, v] % p)
-        power_table.append(powers)
-    out = np.empty((len(samples), len(monos)), dtype=np.int64)
+    """Values mod p of every monomial (columns) at every sample (rows)."""
+    base = np.array([_values_mod_p(values, p) for values in samples]).T
+    known = {(0,) * len(base): np.ones(len(samples), dtype=np.int64)}
+    out = np.empty((len(monos), len(samples)), dtype=np.int64)
     for j, mono in enumerate(monos):
-        col = np.ones(len(samples), dtype=np.int64)
-        for v, e in enumerate(mono):
-            if e:
-                col = col * power_table[v][e] % p
-        out[:, j] = col
-    return out
+        out[j] = _monomial_values(mono, known, base, p)
+        known[mono] = out[j]
+    return out.T
+
+
+def _monomial_values(mono, known: dict, base: np.ndarray, p: int) -> np.ndarray:
+    """One variable's values times those of the monomial one degree lower."""
+    if mono not in known:
+        v = next(v for v, e in enumerate(mono) if e)
+        lower = mono[:v] + (mono[v] - 1,) + mono[v + 1 :]
+        known[mono] = _monomial_values(lower, known, base, p) * base[v] % p
+    return known[mono]
 
 
 def _primitive_int_vector(fracs: Sequence[Fraction]) -> list[int]:
@@ -457,22 +454,16 @@ def _certified_zero(
             mag = max(mag, abs(f.numerator) // f.denominator + 1)
             den *= f.denominator
         bound = max(bound, sum_abs * mag**degree_bound * den**degree_bound)
-    primes = _modlin.primes_covering(bound)
-    rel_matrix = np.array([list(rel) for rel in relations], dtype=object).T
-    block = _modlin.CERTIFY_BLOCK
-    for q in primes:
+    for q in _modlin.primes_covering(bound):
         v_q = _monomial_matrix_mod_p(samples, monos, q)
-        c_q = np.empty(rel_matrix.shape, dtype=np.int64)
-        for i in range(rel_matrix.shape[0]):
-            for j in range(rel_matrix.shape[1]):
-                c_q[i, j] = int(rel_matrix[i, j]) % q
-        # Reduce after each block of columns so the int64 sums cannot wrap.
-        acc = np.zeros((v_q.shape[0], c_q.shape[1]), dtype=np.int64)
-        for k in range(0, v_q.shape[1], block):
-            acc = (acc + v_q[:, k : k + block] @ c_q[k : k + block]) % q
-        if np.any(acc):
+        c_q = np.array([[c % q for c in rel] for rel in relations], dtype=np.int64)
+        if _modlin.matmul_mod_p(v_q, c_q.T, q).any():
             return False
     return True
+
+
+# Nullspace primes a harvest may draw: six primes of 23 bits, about 2^138.
+HARVEST_PRIMES = 6
 
 
 def harvest_relations(
@@ -505,62 +496,43 @@ def harvest_relations(
     ]
     fresh = [_sample_generator_values(group_spec, gen_vars, rng) for _ in range(50)]
 
-    bases: list[np.ndarray] = []
-    pivot_ref: list[int] | None = None
-    used_primes: list[int] = []
-    for p in _modlin.NULLSPACE_PRIMES:
+    # The CRT lift of the nullspace bases modulo the product of the primes so far.
+    lift, modulus, pivot_ref = None, 1, None
+    for p in itertools.islice(_modlin.primes(), HARVEST_PRIMES):
         v_p = _monomial_matrix_mod_p(samples, monos, p)
         basis_p, pivots_p = _modlin.nullspace_mod_p(v_p, p)
-        if pivot_ref is None:
-            pivot_ref = pivots_p
-        elif pivots_p != pivot_ref:
-            # An unlucky prime dropped rank; restart the CRT stack from here.
-            bases = []
-            used_primes = []
-            pivot_ref = pivots_p
         if basis_p.shape[1] == 0:
             # Mod-p emptiness certifies rational emptiness: a primitive integer
             # relation would reduce to a nonzero mod-p nullspace vector.
             return RelationBasis(group_spec, degree_bound, seed, sample_count, [])
-        bases.append(basis_p)
-        used_primes.append(p)
-        if len(used_primes) < 2:
+        if pivots_p != pivot_ref:
+            # The first prime, or an unlucky one dropped rank: restart the lift.
+            lift, modulus, pivot_ref = basis_p.astype(object), p, pivots_p
             continue
-        # CRT-combine and attempt rational reconstruction.
-        modulus = 1
-        combined = np.zeros(bases[0].shape, dtype=object)
-        for b, q in zip(bases, used_primes):
-            if modulus == 1:
-                combined = b.astype(object)
-                modulus = q
-            else:
-                for idx, val in np.ndenumerate(combined):
-                    combined[idx] = _modlin.crt_pair(int(val), modulus, int(b[idx]), q)
-                modulus *= q
-        rel_vectors: list[list[int]] | None = []
-        for j in range(combined.shape[1]):
-            fracs = []
-            for i in range(combined.shape[0]):
-                f = _modlin.rational_reconstruct(int(combined[i, j]), modulus)
-                if f is None:
-                    rel_vectors = None
-                    break
-                fracs.append(f)
-            if rel_vectors is None:
-                break
-            rel_vectors.append(_primitive_int_vector(fracs))
-        if rel_vectors is None:
-            continue  # widen the modulus with one more prime
-        if not _certified_zero(samples + fresh, monos, rel_vectors, degree_bound):
-            raise HarvestError(
-                "reconstructed relations failed exact verification; rerun with"
-                " a different seed or more samples"
-            )
-        relations = [
-            _vector_to_poly(vec, monos, gen_vars) for vec in rel_vectors
-        ]
-        return RelationBasis(group_spec, degree_bound, seed, sample_count, relations)
-    raise HarvestError("rational reconstruction failed at the full prime capacity")
+        lift = _modlin.crt_pair(lift, modulus, basis_p.astype(object), p)
+        modulus *= p
+        rel_vectors = _reconstruct_relations(lift, modulus)
+        # A failed reconstruction or certification widens the modulus by a prime.
+        if rel_vectors is not None and _certified_zero(
+            samples + fresh, monos, rel_vectors, degree_bound
+        ):
+            relations = [_vector_to_poly(vec, monos, gen_vars) for vec in rel_vectors]
+            return RelationBasis(group_spec, degree_bound, seed, sample_count, relations)
+    raise HarvestError(
+        f"no certified relations within {HARVEST_PRIMES} primes; rerun with a"
+        " different seed or more samples"
+    )
+
+
+def _reconstruct_relations(lift: np.ndarray, modulus: int) -> list[list[int]] | None:
+    """Primitive integer relations from the columns of a CRT lift, or None."""
+    relations = []
+    for column in lift.T:
+        fracs = [_modlin.rational_reconstruct(int(v), modulus) for v in column]
+        if None in fracs:
+            return None
+        relations.append(_primitive_int_vector(fracs))
+    return relations
 
 
 def relation_from_dict(spec: GroupSpec, data) -> Poly:

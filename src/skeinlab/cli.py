@@ -2,8 +2,8 @@
 
 Subcommands: reduce, multiply, abelian, two-bridge, harvest, tangent, fuzz,
 selftest.  Every subcommand takes --json; --seed defaults to the
-SKEINLAB_SEED environment variable, then 0.  Exit status: 0 success,
-1 check failure, 2 usage error.
+SKEINLAB_SEED environment variable, then 0.  Exit status: 0 success (also
+when the reader closes stdout early), 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import _modlin, charvar, oracle, selftest, skein, trace_engine
+from . import charvar, oracle, selftest, skein, trace_engine
 from .exactpoly import (
     PolyError,
     laurent_to_dict,
@@ -306,7 +306,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does: not an error.
+        # Point stdout at devnull so the exit-time flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (
         WordError,
         PolyError,
@@ -314,7 +321,6 @@ def run(argv=None) -> int:
         EngineError,
         OracleError,
         charvar.CharVarError,
-        _modlin.ModLinError,
         OSError,
         json.JSONDecodeError,
         KeyError,

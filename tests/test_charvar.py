@@ -273,3 +273,27 @@ def test_tangent_with_nonvanishing_gradient():
     report = tangent_dim_at_trivial(basis)
     assert report.jacobian_rank_at_chi0 == 1
     assert report.tangent_dim == 2
+
+
+def test_failed_certification_widens_the_modulus(monkeypatch):
+    from skeinlab import charvar
+
+    calls = []
+
+    def fails_once(*args):
+        calls.append(len(calls))
+        return len(calls) > 1 and _certified_zero(*args)
+
+    monkeypatch.setattr(charvar, "_certified_zero", fails_once)
+    monos = monomial_exponents(3, 3)
+    basis = harvest_relations(("abelian", 2), 3, 2 * len(monos), seed=11)
+    assert len(calls) == 2
+    known = x_z2_relation_poly()
+    assert basis.relations in ([known], [-known])
+
+    calls.clear()
+    monkeypatch.setattr(charvar, "_certified_zero", lambda *args: calls.append(0))
+    with pytest.raises(HarvestError):
+        harvest_relations(("abelian", 2), 3, 2 * len(monos), seed=11)
+    # Every prime after the first gives a candidate; each one fails.
+    assert len(calls) == charvar.HARVEST_PRIMES - 1

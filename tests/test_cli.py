@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skeinlab
 from skeinlab.cli import run
 from skeinlab.exactpoly import poly_from_dict, poly_pretty
 
@@ -182,7 +187,6 @@ def test_harvest_insufficient_samples(capsys):
     "argv",
     [
         ["harvest", "--group", "free:2", "--degree", "-1"],
-        ["harvest", "--group", "abelian:3", "--degree", "5", "--seed", "11"],
     ],
 )
 def test_harvest_bad_input_is_usage_error(capsys, argv):
@@ -190,6 +194,33 @@ def test_harvest_bad_input_is_usage_error(capsys, argv):
     assert code == 2
     assert err.startswith("skeinlab: error: ")
     assert "Traceback" not in err
+
+
+def test_harvest_abelian_3_degree_5_certifies(capsys):
+    # Its certification bound needs more primes than a fixed list once held.
+    code, out, err = invoke(
+        capsys, ["harvest", "--group", "abelian:3", "--degree", "5", "--seed", "11"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["relation_count"] == 161
+
+
+def test_closed_stdout_exits_zero_quietly():
+    # Writing to a pipe whose reader is gone, as after `| head -c 100`.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src_dir = Path(skeinlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skeinlab.cli", "reduce", "--rank", "2", "a^300 b"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    )
+    os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
 
 
 def test_deep_word_has_no_traceback(capsys):
