@@ -3,7 +3,8 @@
 Subcommands: reduce, multiply, abelian, two-bridge, harvest, tangent, fuzz,
 selftest.  Every subcommand takes --json; --seed defaults to the
 SKEINLAB_SEED environment variable, then 0.  Exit status: 0 success (also
-when the reader closes stdout early), 1 check failure, 2 usage error.
+when the reader closes stdout early), 1 check failure, 2 usage error or
+unwritable stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import sys
 
 from . import charvar, oracle, selftest, skein, trace_engine
+from .charvar import CharVarError
 from .exactpoly import (
     PolyError,
     laurent_to_dict,
@@ -194,7 +196,7 @@ def _cmd_two_bridge(args) -> int:
         try:
             eps = tuple(int(e) for e in args.epsilons.split(","))
         except ValueError:
-            raise charvar.CharVarError(f"bad epsilons {args.epsilons!r}") from None
+            raise CharVarError(f"bad epsilons {args.epsilons!r}") from None
         pres = charvar.TwoBridgePresentation(eps)
     result = charvar.two_bridge_charpoly(pres)
     payload = result.to_dict()
@@ -219,27 +221,44 @@ def _cmd_harvest(args) -> int:
         try:
             samples = int(args.samples)
         except ValueError:
-            raise charvar.CharVarError(f"bad --samples {args.samples!r}") from None
+            raise CharVarError(f"bad --samples {args.samples!r}") from None
     basis = charvar.harvest_relations(spec, args.degree, samples, args.seed)
     print(json.dumps(basis.to_dict(), indent=2))
     return 0
 
 
 def _cmd_tangent(args) -> int:
-    with open(args.from_file) as fh:
-        data = json.load(fh)
+    path = args.from_file
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise CharVarError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not JSON, or not text
+        raise CharVarError(f"{path} is not a JSON file: {exc}") from None
+    if not isinstance(data, dict):
+        raise CharVarError(f"{path}: expected a JSON object")
+    data = {"seed": 0, "sample_count": 0} | data
+    for name, kind in dict(
+        group=str, relations=list, degree_bound=int, seed=int, sample_count=int
+    ).items():
+        if type(data.get(name)) is not kind:
+            raise CharVarError(f"{path}: {name!r} must be of type {kind.__name__}")
     spec = charvar.parse_group_spec(data["group"])
+    generators = set(charvar.generator_vars(spec))
+    malformed = (ArithmeticError, AttributeError, LookupError, TypeError, ValueError)
+    relations = []
+    for i, entry in enumerate(data["relations"]):
+        try:
+            relations.append(charvar.relation_from_dict(spec, entry))
+        except malformed as exc:
+            raise CharVarError(f"{path}: bad relation {i}: {exc!r}") from None
+        if not generators.issuperset(relations[-1].variables()):
+            raise CharVarError(f"{path}: relation {i} is not over {data['group']}")
     basis = charvar.RelationBasis(
-        group_spec=spec,
-        degree_bound=int(data["degree_bound"]),
-        seed=int(data.get("seed", 0)),
-        sample_count=int(data.get("sample_count", 0)),
-        relations=[
-            charvar.relation_from_dict(spec, entry) for entry in data["relations"]
-        ],
+        spec, data["degree_bound"], data["seed"], data["sample_count"], relations
     )
-    report = charvar.tangent_dim_at_trivial(basis)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(charvar.tangent_dim_at_trivial(basis).to_dict(), indent=2))
     return 0
 
 
@@ -309,30 +328,23 @@ def run(argv=None) -> int:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # The reader closed stdout early, as `| head` does: not an error.
+    except OSError as exc:
+        # Only stdout is written here; _cmd_tangent maps its file's errors.
         # Point stdout at devnull so the exit-time flush cannot fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        if isinstance(exc, BrokenPipeError):
+            return 0  # the reader closed stdout early, as `| head` does
+        print(f"skeinlab: error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
     except (
         WordError,
         PolyError,
         SkeinError,
         EngineError,
         OracleError,
-        charvar.CharVarError,
-        OSError,
-        json.JSONDecodeError,
-        KeyError,
+        CharVarError,
     ) as exc:
         print(f"skeinlab: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except RecursionError:
-        print(
-            "skeinlab: error: word too deep to reduce: its rewriting nests deeper "
-            f"than the recursion limit ({sys.getrecursionlimit()})",
-            file=sys.stderr,
-        )
         return USAGE_ERROR
 
 

@@ -52,36 +52,39 @@ def is_dyadic(c: Coeff) -> bool:
     return d & (d - 1) == 0
 
 
-def coeff_to_str(c: Coeff) -> str:
-    return str(c)
-
-
 def coeff_from_str(s: str) -> Coeff:
     return normalize_coeff(Fraction(s))
 
 
-class SubsetVar:
-    """Trace coordinate t_S for a nonempty sorted index set S.
+class InternedVar:
+    """Variable named by a nonempty sorted index set, one object per set.
 
     Variables compare by (cardinality, lexicographic), so t_1 < t_2 < t_12.
-    Instances are interned: construction with an equal subset returns the
-    same object, which keeps monomial hashing cheap.
+    Each subclass keeps its own registry: constructing it with an equal set
+    returns the same object, so equality is identity and monomial hashing
+    uses the default identity hash, in C.  Subclasses name the set, print
+    themselves and choose the error raised for a bad set.
     """
 
-    __slots__ = ("subset", "_key", "_hash")
-    _registry: dict[tuple[int, ...], "SubsetVar"] = {}
+    __slots__ = ("_key",)
+    _error: type[ValueError] = PolyError
+    _noun = "index set"
 
-    def __new__(cls, subset: Iterable[int]) -> "SubsetVar":
-        key = tuple(sorted(set(subset)))
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._registry = {}
+
+    def __new__(cls, indices: Iterable[int]):
+        key = tuple(sorted(set(indices)))
         cached = cls._registry.get(key)
         if cached is not None:
             return cached
         if not key or key[0] < 1:
-            raise PolyError(f"subset must be a nonempty set of positive ints: {key}")
+            raise cls._error(
+                f"{cls._noun} must be a nonempty set of positive ints: {key}"
+            )
         self = object.__new__(cls)
-        self.subset = key
         self._key = (len(key), key)
-        self._hash = hash((cls.__name__, key))
         cls._registry[key] = self
         return self
 
@@ -89,16 +92,19 @@ class SubsetVar:
     def sort_key(self) -> tuple:
         return self._key
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, SubsetVar) and self.subset == other.subset
-        )
-
-    def __lt__(self, other: "SubsetVar") -> bool:
+    def __lt__(self, other: "InternedVar") -> bool:
         return self._key < other._key
+
+
+class SubsetVar(InternedVar):
+    """Trace coordinate t_S for a nonempty sorted index set S."""
+
+    __slots__ = ()
+    _noun = "subset"
+
+    @property
+    def subset(self) -> tuple[int, ...]:
+        return self._key[1]
 
     def __repr__(self) -> str:
         return f"SubsetVar({self.subset})"
@@ -278,30 +284,23 @@ class Poly(_SparsePoly):
 
     @staticmethod
     def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-        """Merge two monomials, each sorted by variable."""
-        if not m1:
-            return m2
-        if not m2:
-            return m1
-        out = []
-        i = j = 0
-        n1, n2 = len(m1), len(m2)
-        while i < n1 and j < n2:
-            v1, e1 = m1[i]
-            v2, e2 = m2[j]
-            if v1 is v2 or v1 == v2:
-                out.append((v1, e1 + e2))
-                i += 1
-                j += 1
-            elif v1.sort_key < v2.sort_key:
-                out.append(m1[i])
-                i += 1
+        """Merge two monomials, each sorted by variable, inserting each pair
+        of the shorter one into the longer one (most have a single pair)."""
+        if len(m1) > len(m2):
+            m1, m2 = m2, m1
+        for pair in m1:
+            v, e = pair
+            k = v._key
+            for i, (w, f) in enumerate(m2):
+                if w is v:
+                    m2 = m2[:i] + ((v, e + f),) + m2[i + 1 :]
+                    break
+                if k < w._key:
+                    m2 = m2[:i] + (pair,) + m2[i:]
+                    break
             else:
-                out.append(m2[j])
-                j += 1
-        out.extend(m1[i:])
-        out.extend(m2[j:])
-        return tuple(out)
+                m2 = m2 + (pair,)
+        return m2
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -578,7 +577,7 @@ def poly_to_dict(p: Poly) -> dict:
     return {
         "terms": [
             {
-                "coeff": coeff_to_str(c),
+                "coeff": str(c),
                 "monomial": [_mono_entry_to_json(v, e) for v, e in m],
             }
             for m, c in p.sorted_terms()
@@ -612,7 +611,7 @@ def laurent_to_dict(p: LaurentPoly) -> dict:
     return {
         "rank": p.rank,
         "terms": [
-            {"coeff": coeff_to_str(c), "exponents": list(ev)}
+            {"coeff": str(c), "exponents": list(ev)}
             for ev, c in p.sorted_terms()
         ],
     }

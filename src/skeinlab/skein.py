@@ -25,10 +25,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from . import trace_engine
-from .exactpoly import LaurentPoly, Poly, normalize_coeff
+from .exactpoly import InternedVar, LaurentPoly, Poly, normalize_coeff
 from .trace_engine import ReductionMode
 from .words import AbelianVector, GroupWord, reduce_word
 
@@ -37,44 +36,20 @@ class SkeinError(ValueError):
     pass
 
 
-class AbelianVar:
+class AbelianVar(InternedVar):
     """Generator class of S(Z^n): u_i, v_jk, or w_S for a 0/1-support set S.
 
     The support is a sorted tuple of indices; sizes 1 and 2 print as the
     u/v generators, larger supports (integral mode only) print as w[...].
     """
 
-    __slots__ = ("indices", "_key", "_hash")
-    _registry: dict[tuple[int, ...], "AbelianVar"] = {}
-
-    def __new__(cls, indices: Iterable[int]) -> "AbelianVar":
-        key = tuple(sorted(set(indices)))
-        cached = cls._registry.get(key)
-        if cached is not None:
-            return cached
-        if not key or key[0] < 1:
-            raise SkeinError(f"support must be a nonempty set of positive ints: {key}")
-        self = object.__new__(cls)
-        self.indices = key
-        self._key = (len(key), key)
-        self._hash = hash((cls.__name__, key))
-        cls._registry[key] = self
-        return self
+    __slots__ = ()
+    _error = SkeinError
+    _noun = "support"
 
     @property
-    def sort_key(self) -> tuple:
-        return self._key
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, AbelianVar) and self.indices == other.indices
-        )
-
-    def __lt__(self, other: "AbelianVar") -> bool:
-        return self._key < other._key
+    def indices(self) -> tuple[int, ...]:
+        return self._key[1]
 
     def __repr__(self) -> str:
         return f"AbelianVar({self.indices})"

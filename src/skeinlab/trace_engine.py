@@ -20,6 +20,12 @@ priority order, the first rule that fires:
   R5  (dyadic mode only) sorted square-free word of length >= 4: the size-4
       reduction rule applied to blocks (g_i1, g_i2, g_i3, rest).
 
+Through the memo, the words the rules ask for form a DAG.  reduce evaluates
+it on an explicit stack of (key, rewrite generator) pairs: a generator yields
+each word it needs and is sent back its polynomial; only memo misses are
+pushed.  So depth is bounded by memory, not by the recursion limit, and the
+rule order and the memo's fill order are those of a recursive evaluation.
+
 Sorted square-free words that survive the rules ARE the canonical variables.
 Integral mode keeps all 2^n - 1 subset variables and stays over the
 integers; dyadic mode allows only |S| <= 3 and introduces denominators that
@@ -44,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Generator, Mapping, Sequence
 
 from . import _modlin
 from .exactpoly import Poly, SubsetVar
@@ -245,21 +251,34 @@ class TraceEngine:
     # -- public API ---------------------------------------------------------
 
     def reduce(self, word: GroupWord) -> Poly:
+        """Canonical polynomial of word; see the module docstring for the stack."""
+        memo, mode, stats = self.memo, self.mode, self.stats
         key = cyclic_key(word)
-        cached = self.memo.get((key, self.mode))
-        if cached is not None:
-            self.stats["r0_memo_hit"] += 1
-            return cached
-        poly = self._reduce_canonical(key)
-        self.memo[(key, self.mode)] = poly
-        return poly
+        value = memo.get((key, mode))
+        if value is not None:
+            stats["r0_memo_hit"] += 1
+            return value
+        stack = [(key, self._reduce_canonical(key))]
+        while stack:
+            key, rewrite = stack[-1]
+            try:
+                rank, pairs = rewrite.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = memo[(key, mode)] = done.value
+                continue
+            child = cyclic_key(reduce_word(pairs, rank))
+            value = memo.get((child, mode))
+            if value is not None:
+                stats["r0_memo_hit"] += 1
+            else:
+                stack.append((child, self._reduce_canonical(child)))
+        return value
 
     # -- internals ----------------------------------------------------------
 
-    def _child(self, rank: int, pairs: Iterable[tuple[int, int]]) -> Poly:
-        return self.reduce(reduce_word(list(pairs), rank))
-
-    def _reduce_canonical(self, w: GroupWord) -> Poly:
+    def _reduce_canonical(self, w: GroupWord) -> Generator[tuple, Poly, Poly]:
+        """Rewrite one cyclic key; yields (rank, pairs) per child trace needed."""
         letters = w.letters
         rank = w.rank
         if not letters:
@@ -284,7 +303,7 @@ class TraceEngine:
                     (x.index, x.exponent if i != pos else e - 2 * s)
                     for i, x in enumerate(letters)
                 ]
-                return t_g * self._child(rank, drop_one) - self._child(rank, drop_two)
+                return t_g * (yield rank, drop_one) - (yield rank, drop_two)
 
         # R2: remove the leftmost inverse letter.
         for pos, l in enumerate(letters):
@@ -292,9 +311,7 @@ class TraceEngine:
                 self.stats["r2_inverse"] += 1
                 t_g = Poly.variable(SubsetVar((l.index,)))
                 vu = [(x.index, x.exponent) for x in letters[pos + 1 :] + letters[:pos]]
-                return t_g * self._child(rank, vu) - self._child(
-                    rank, vu + [(l.index, 1)]
-                )
+                return t_g * (yield rank, vu) - (yield rank, vu + [(l.index, 1)])
 
         # All exponents are +1 from here on.
         # R3: split at the first index that occurs twice.
@@ -317,9 +334,7 @@ class TraceEngine:
             ab_inv = [(l.index, 1) for l in a_blk] + [
                 (l.index, -1) for l in reversed(b_blk)
             ]
-            return self._child(rank, xa) * self._child(rank, xb) - self._child(
-                rank, ab_inv
-            )
+            return (yield rank, xa) * (yield rank, xb) - (yield rank, ab_inv)
 
         # Square-free positive word: rotate the smallest index to the front.
         mpos = min(range(len(letters)), key=lambda i: letters[i].index)
@@ -335,11 +350,11 @@ class TraceEngine:
                 ]
                 t_x = Poly.variable(SubsetVar((x.index,)))
                 t_y = Poly.variable(SubsetVar((y.index,)))
-                t_a = self._child(rank, a_blk)
-                t_bc = self._child(rank, [(y.index, 1), (x.index, 1)])
-                t_ac = self._child(rank, a_blk + [(x.index, 1)])
-                t_ab = self._child(rank, a_blk + [(y.index, 1)])
-                t_abc = self._child(rank, a_blk + [(y.index, 1), (x.index, 1)])
+                t_a = yield rank, a_blk
+                t_bc = yield rank, [(y.index, 1), (x.index, 1)]
+                t_ac = yield rank, a_blk + [(x.index, 1)]
+                t_ab = yield rank, a_blk + [(y.index, 1)]
+                t_abc = yield rank, a_blk + [(y.index, 1), (x.index, 1)]
                 return (
                     t_a * t_bc
                     + t_y * t_ac
@@ -368,7 +383,7 @@ class TraceEngine:
                 pairs = [
                     (l.index, 1) for b in subset for l in blocks[b - 1]
                 ]
-                term = term * self._child(rank, pairs) ** power
+                term = term * (yield rank, pairs) ** power
             acc = acc + term
         return Fraction(1, 2) * acc
 

@@ -2,10 +2,12 @@
 
 Words are stored in run-length form: a sequence of (index, exponent) letters
 with nonzero exponents and no two adjacent letters sharing an index.  The
-cyclic canonical form (least rotation of the cyclically reduced word or of
-its inverse) is the memoization key used by the trace reduction engine:
-two words get the same key exactly when their traces agree for cyclicity
-and inversion reasons alone.
+cyclic canonical form is the memoization key used by the trace reduction
+engine: two words get the same key exactly when their traces agree for
+cyclicity and inversion reasons alone.  It is the least rotation of the
+cyclically reduced word or of its inverse, comparing letters on (index,
+sign, |exponent|) with positive exponents first; all these rotations share
+one symbol length, so no length term is needed.
 """
 
 from __future__ import annotations
@@ -117,48 +119,43 @@ def subset_word(subset: Iterable[int], rank: int) -> GroupWord:
     return GroupWord(rank, tuple(Letter(i, 1) for i in indices))
 
 
-def _letter_sort_key(l: Letter) -> tuple[int, int, int]:
-    # Positive exponents order before negative ones at the same index.
-    return (l.index, 0 if l.exponent > 0 else 1, abs(l.exponent))
-
-
-def word_sort_key(letters: Sequence[Letter]) -> tuple:
-    """Total order on reduced words: symbol length, then letterwise comparison."""
-    return (
-        sum(abs(l.exponent) for l in letters),
-        tuple(_letter_sort_key(l) for l in letters),
-    )
-
-
-def _cyclic_reduce(letters: Sequence[Letter]) -> list[Letter]:
-    out = list(letters)
-    while len(out) >= 2 and out[0].index == out[-1].index:
-        merged = out[0].exponent + out[-1].exponent
-        middle = out[1:-1]
-        if merged == 0:
-            out = middle
-        else:
-            out = [Letter(out[0].index, merged)] + middle
-            break  # ends of the middle differ from this index by free reduction
-    return out
+def _cyclic_reduce(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    while len(letters) >= 2 and letters[0].index == letters[-1].index:
+        merged = letters[0].exponent + letters[-1].exponent
+        if merged:
+            # The ends of the middle differ from this index by free reduction.
+            return (Letter(letters[0].index, merged),) + letters[1:-1]
+        letters = letters[1:-1]
+    return letters
 
 
 def cyclic_key(w: GroupWord) -> GroupWord:
-    """Canonical form of w under rotations and inversion.
+    """Canonical form of w under rotations and inversion (see the module doc).
 
-    The canonical word is the least, under word_sort_key, among all rotations
-    of the cyclically reduced word and all rotations of its inverse.
+    Letter keys are computed once and the inverse's keys read off them; only
+    rotations that start at the least letter key are compared, and new
+    letters are built only when a rotation of the inverse wins.
     """
     core = _cyclic_reduce(w.letters)
-    if not core:
+    fwd = [(index, exponent < 0, abs(exponent)) for index, exponent in core]
+    bwd = [(index, not negative, size) for index, negative, size in reversed(fwd)]
+    first = min(fwd + bwd, default=None)
+    best = min(
+        (
+            (keys[i:] + keys[:i], side, i)
+            for side, keys in enumerate((fwd, bwd))
+            for i, key in enumerate(keys)
+            if key == first
+        ),
+        default=None,
+    )
+    if best is None:
         return GroupWord(w.rank, ())
-    candidates: list[tuple[Letter, ...]] = []
-    for base in (core, _cyclic_reduce(invert(GroupWord(w.rank, tuple(core))).letters)):
-        n = len(base)
-        for i in range(n):
-            candidates.append(tuple(base[i:]) + tuple(base[:i]))
-    best = min(candidates, key=word_sort_key)
-    return GroupWord(w.rank, best)
+    keys, inverted, i = best
+    if not inverted:
+        return GroupWord(w.rank, core[i:] + core[:i])
+    letters = [(index, -size if negative else size) for index, negative, size in keys]
+    return GroupWord(w.rank, tuple(map(Letter._make, letters)))
 
 
 _LETTER_NAMES = "abcd"

@@ -174,6 +174,52 @@ def test_tangent_missing_file(capsys):
     assert err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,  # no file at all
+        b'{"group": "free:2", "degree_bound": "x", "relations": []}',
+        b"[1, 2]",
+        b'{"group": "free:2", "degree_bound": 3, "relations": 5}',
+        b'{"group": "free:2", "relations": []}',
+        b'{"group": 2, "degree_bound": 3, "relations": []}',
+        b'{"group": "free:2", "degree_bound": 3, "relations": [7]}',
+        b'{"group": "free:2", "degree_bound": 3, "relations": [{"terms": '
+        b'[{"coeff": "1/0", "monomial": []}]}]}',
+        b'{"group": "abelian:2", "degree_bound": 3, "relations": [{"terms": '
+        b'[{"coeff": "1", "monomial": [{"var": 5, "power": 1}]}]}]}',
+        b'{"group": "free:2", "degree_bound": 3, "relations": [{"terms": '
+        b'[{"coeff": "1", "monomial": [{"subset": [1, 2, 3], "power": 1}]}]}]}',
+        b"{not json",
+        b"\xff\xfe",
+    ],
+    ids=[
+        "missing",
+        "degree-not-int",
+        "top-level-list",
+        "relations-not-list",
+        "no-degree",
+        "group-not-str",
+        "relation-not-object",
+        "zero-denominator",
+        "var-not-str",
+        "foreign-variable",
+        "not-json",
+        "not-utf8",
+    ],
+)
+def test_tangent_corrupt_file_is_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "harvest.json"
+    if content is not None:
+        path.write_bytes(content)
+    code, out, err = invoke(capsys, ["tangent", "--from", str(path)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("skeinlab: error: ")
+    assert "Traceback" not in err
+
+
 def test_harvest_insufficient_samples(capsys):
     code, _, err = invoke(
         capsys,
@@ -223,14 +269,31 @@ def test_closed_stdout_exits_zero_quietly():
     assert proc.stderr == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_is_one_error_line():
+    # Every write to /dev/full fails with ENOSPC.
+    src_dir = Path(skeinlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skeinlab.cli", "reduce", "--rank", "2", "a b"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    err = proc.stderr.decode()
+    assert proc.returncode == 2
+    assert err.startswith("skeinlab: error: cannot write output")
+    assert len(err.splitlines()) == 1
+
+
 def test_deep_word_has_no_traceback(capsys):
-    # Exit 0 is allowed for an engine that no longer recurses per letter.
-    code, _, err = invoke(capsys, ["reduce", "--rank", "2", "a^400 b"])
-    assert code in {0, 2}
-    if code == 2:
-        assert err.startswith("skeinlab: error: ")
-        assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
+    # The engine evaluates on an explicit stack, so depth is not an error.
+    code, out, err = invoke(capsys, ["reduce", "--rank", "2", "a^1000 b"])
+    assert code == 0, err
+    assert err == ""
+    assert out.startswith("t1^999*t[1,2] - ")
 
 
 @pytest.mark.slow

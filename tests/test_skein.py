@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from skeinlab.exactpoly import LaurentPoly, Poly, SubsetVar, is_integral
+from skeinlab.exactpoly import LaurentPoly, Poly, PolyError, SubsetVar, is_integral
 from skeinlab.oracle import eval_word, sample_representation, subset_trace_assignment
 from skeinlab.skein import (
     AbelianVar,
@@ -279,3 +279,23 @@ def test_abelian_var_parsing():
     assert parse_abelian_var("w[1,2,3]") == AbelianVar((1, 2, 3))
     with pytest.raises(SkeinError):
         parse_abelian_var("q7")
+
+
+def test_interned_variables_share_one_base():
+    # One object per index set and per class, so equality is identity.
+    assert SubsetVar([2, 1, 2]) is T12
+    assert AbelianVar(iter((2, 1))) is V12
+    assert V12 != T12 and {V12: 1}.get(T12) is None
+    assert type(T12).__hash__ is object.__hash__
+    assert sorted([T12, T2, T1]) == [T1, T2, T12]
+    assert sorted([V12, U2, U1], key=lambda var: var.sort_key) == [U1, U2, V12]
+    assert (str(T12), repr(T12), str(V12), repr(V12)) == (
+        "t[1,2]",
+        "SubsetVar((1, 2))",
+        "v[1,2]",
+        "AbelianVar((1, 2))",
+    )
+    with pytest.raises(PolyError):
+        SubsetVar(())
+    with pytest.raises(SkeinError):
+        AbelianVar((0, 1))

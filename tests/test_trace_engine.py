@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 from skeinlab.exactpoly import (
     Poly,
@@ -195,3 +196,18 @@ def test_deterministic_json_output():
     two = json.dumps(poly_to_dict(TraceEngine(ReductionMode.INTEGRAL).reduce(w)))
     assert one == two
     json.loads(one)
+
+
+def test_deep_word_reduces_under_the_default_recursion_limit():
+    # One rewrite step per unit of exponent: far deeper than the limit.
+    assert sys.getrecursionlimit() <= 1000
+    w = parse_word("a^1000 b", 2)
+    rng = random.Random(29)
+    reps = [sample_representation(rng, 2) for _ in range(3)]
+    for mode in ReductionMode:
+        engine = TraceEngine(mode, rule_k4=get_engine(mode).rule_k4)
+        poly = engine.reduce(w)
+        assert len(poly.terms) == 1000
+        for rep in reps:
+            assignment = subset_trace_assignment(rep, poly.variables())
+            assert poly.evaluate(assignment) == eval_word(w, rep).trace

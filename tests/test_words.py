@@ -109,6 +109,63 @@ def test_cyclic_key_conjugation_invariance():
         assert cyclic_key(invert(w)) == cyclic_key(w)
 
 
+def _reference_cyclic_key(w):
+    """The original definition: the least, under (symbol length, letterwise
+    (index, sign, |exponent|)), of every rotation of the cyclically reduced
+    word and of every rotation of its cyclically reduced inverse."""
+
+    def cyclic_reduce(letters):
+        out = list(letters)
+        while len(out) >= 2 and out[0].index == out[-1].index:
+            merged = out[0].exponent + out[-1].exponent
+            if merged == 0:
+                out = out[1:-1]
+            else:
+                out = [Letter(out[0].index, merged)] + out[1:-1]
+                break
+        return out
+
+    def sort_key(letters):
+        return (
+            sum(abs(l.exponent) for l in letters),
+            tuple((l.index, 0 if l.exponent > 0 else 1, abs(l.exponent)) for l in letters),
+        )
+
+    core = cyclic_reduce(w.letters)
+    if not core:
+        return GroupWord(w.rank, ())
+    inverse = cyclic_reduce(invert(GroupWord(w.rank, tuple(core))).letters)
+    candidates = [
+        tuple(base[i:]) + tuple(base[:i])
+        for base in (core, inverse)
+        for i in range(len(base))
+    ]
+    return GroupWord(w.rank, min(candidates, key=sort_key))
+
+
+def test_cyclic_key_matches_reference_definition():
+    rng = random.Random(3)
+    words = []
+    for rank in range(1, 7):
+        for _ in range(300):
+            exps = rng.choice(((-3, -2, -1, 1, 2, 3), (-300, -299, -1, 1, 299, 300)))
+            pairs = [
+                (rng.randint(1, rank), rng.choice(exps))
+                for _ in range(rng.randint(0, 12))
+            ]
+            words.append(reduce_word(pairs, rank))
+            # u w u^-1 and g^e u u^-1: cyclically the identity or one letter.
+            u = reduce_word(pairs[: rng.randint(0, len(pairs))], rank)
+            g = (rng.randint(1, rank), rng.choice(exps))
+            words.append(concat(u, invert(u)))
+            words.append(concat(u, reduce_word([g], rank), invert(u)))
+    assert any(cyclic_key(w).is_identity() for w in words)
+    assert any(len(cyclic_key(w).letters) == 1 for w in words)
+    assert any(abs(l.exponent) >= 299 for w in words for l in w.letters)
+    for w in words:
+        assert cyclic_key(w) == _reference_cyclic_key(w), w
+
+
 def test_subset_word_examples():
     assert subset_word({2}, 3).letters == (Letter(2, 1),)
     assert subset_word({1, 3}, 3).letters == (Letter(1, 1), Letter(3, 1))
