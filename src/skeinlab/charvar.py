@@ -307,6 +307,42 @@ def generator_vars(spec: GroupSpec) -> list:
     return out
 
 
+# Cap on the values a harvest's samples hold: samples x monomials.  Peak
+# memory grows by about 33 bytes per value (free:3 at degree 7 with --samples
+# auto holds 6,864 x 3,432 = 23.6M and peaks at 734 MiB), so the cap keeps a
+# harvest near 1 GiB.
+HARVEST_MAX_VALUES = 32_000_000
+
+
+def check_harvest_size(
+    spec: GroupSpec, degree_bound: int, sample_count: int | None = None
+) -> int:
+    """Refuse a harvest too large to run, before anything is built.
+
+    A sample holds one value per generator and per monomial.  Both are
+    counted, not listed: 2^n - 1 or n + C(n, 2) generators and C(nvars + d, d)
+    monomials, counting up only until past the cap, so that an absurd rank
+    or degree costs nothing.  Returns the sample count; None means 2 x the
+    monomial count (--samples auto).
+    """
+    kind, n = spec
+    if degree_bound < 0:
+        raise HarvestError(f"degree bound must be >= 0, got {degree_bound}")
+    nvars = 2 ** min(n, 64) - 1 if kind == "free" else n + n * (n - 1) // 2
+    monos = 1
+    for k in range(1, min(nvars, degree_bound) + 1):  # C(nvars + d, k), rising
+        monos = monos * (nvars + degree_bound + 1 - k) // k
+        if monos > HARVEST_MAX_VALUES:
+            break
+    samples = 2 * monos if sample_count is None else sample_count
+    if max(samples, 1) * max(monos, nvars) > HARVEST_MAX_VALUES:
+        raise HarvestError(
+            f"harvest too large: {kind}:{n} at degree {degree_bound} needs more"
+            f" than {HARVEST_MAX_VALUES:,} sample values; lower --degree or --samples"
+        )
+    return samples
+
+
 def monomial_exponents(nvars: int, degree_bound: int) -> list[tuple[int, ...]]:
     """All exponent vectors with total degree <= bound, in a deterministic order."""
     out: list[tuple[int, ...]] = []
@@ -481,8 +517,7 @@ def harvest_relations(
     kind, n = group_spec
     if kind not in ("free", "abelian"):
         raise CharVarError(f"unknown group kind {kind!r}")
-    if degree_bound < 0:
-        raise HarvestError(f"degree bound must be >= 0, got {degree_bound}")
+    check_harvest_size(group_spec, degree_bound, sample_count)
     gen_vars = generator_vars(group_spec)
     monos = monomial_exponents(len(gen_vars), degree_bound)
     if sample_count < 2 * len(monos):

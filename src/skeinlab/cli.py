@@ -213,15 +213,13 @@ def _cmd_two_bridge(args) -> int:
 
 def _cmd_harvest(args) -> int:
     spec = charvar.parse_group_spec(args.group)
-    nvars = len(charvar.generator_vars(spec))
-    monos = charvar.monomial_exponents(nvars, args.degree)
-    if args.samples == "auto":
-        samples = 2 * len(monos)
-    else:
+    samples = None
+    if args.samples != "auto":
         try:
             samples = int(args.samples)
         except ValueError:
             raise CharVarError(f"bad --samples {args.samples!r}") from None
+    samples = charvar.check_harvest_size(spec, args.degree, samples)
     basis = charvar.harvest_relations(spec, args.degree, samples, args.seed)
     print(json.dumps(basis.to_dict(), indent=2))
     return 0

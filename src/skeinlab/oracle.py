@@ -10,10 +10,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Sequence
 
-from .words import AbelianVector, GroupWord, format_word, reduce_word, subset_word
+from .words import GroupWord, format_word, reduce_word, subset_word
 from .exactpoly import is_integral
 
 
@@ -205,64 +203,4 @@ def fuzz_check(
             )
     report.rule_stats = dict(engine.stats)
     report.elapsed = time.monotonic() - start
-    return report
-
-
-def random_nonzero_rational(rng: random.Random, bound: int = 9) -> Fraction:
-    num = rng.randint(1, bound) * rng.choice((-1, 1))
-    den = rng.randint(1, bound)
-    return Fraction(num, den)
-
-
-@dataclass
-class CharacterCheckReport:
-    count: int
-    seed: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "seed": self.seed,
-            "failures": self.failures,
-            "failure_count": len(self.failures),
-        }
-
-
-def laurent_character_check(
-    vectors: Sequence[AbelianVector], seed: int
-) -> CharacterCheckReport:
-    """Check abelian canonical forms against diagonal characters.
-
-    For x_i -> diag(lambda_i, 1/lambda_i) with random nonzero rational
-    lambda_i, the canonical form of [v] must evaluate to
-    lambda^v + lambda^(-v), exactly.
-    """
-    from . import skein
-
-    rng = random.Random(f"skeinlab-character-{seed}")
-    report = CharacterCheckReport(count=len(vectors), seed=seed)
-    for v in vectors:
-        lams = [random_nonzero_rational(rng) for _ in range(v.rank)]
-        direct = Fraction(1)
-        inv = Fraction(1)
-        for lam, e in zip(lams, v.coords):
-            direct *= Fraction(lam) ** e
-            inv *= Fraction(lam) ** (-e)
-        expected = direct + inv
-        element = skein.abelian_from_vector(v)
-        got = skein.to_laurent(element).evaluate(lams)
-        if got != expected:
-            report.failures.append(
-                {
-                    "vector": list(v.coords),
-                    "lambdas": [str(x) for x in lams],
-                    "expected": str(expected),
-                    "got": str(got),
-                }
-            )
     return report

@@ -16,15 +16,19 @@ expansion is grouped by coordinate (x_i^e contributes a Chebyshev pair in
 u_i), so it runs over integers with a single division at the end.  The
 integral variant instead pulls the vector back to the word
 g_1^(v_1) ... g_n^(v_n) in F_n and reuses the integral-mode trace engine,
-which lands exactly on the 0/1-vector generator classes.
+which lands exactly on the 0/1-vector generator classes.  The Laurent image
+itself is evaluated by Horner's rule over packed integer exponent keys, one
+integer add per monomial product (see to_laurent).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from . import trace_engine
 from .exactpoly import InternedVar, LaurentPoly, Poly, normalize_coeff
@@ -116,12 +120,6 @@ def multiply(x: SkeinElement, y: SkeinElement) -> SkeinElement:
     return SkeinElement(x.rank, x.mode, x.group, x.poly * y.poly)
 
 
-def abelian_multiply(x: SkeinElement, y: SkeinElement) -> SkeinElement:
-    if x.group != "abelian" or y.group != "abelian":
-        raise SkeinError("abelian_multiply needs abelian elements")
-    return multiply(x, y)
-
-
 def _chebyshev(u: Poly, k: int) -> tuple[Poly, Poly]:
     """(x^k + x^(-k), (x^k - x^(-k)) / (x - x^(-1))) as polynomials in u = x + x^(-1).
 
@@ -188,60 +186,78 @@ def abelian_from_vector(
 
 
 def to_laurent(x: SkeinElement) -> LaurentPoly:
-    """Image under the symmetric-Laurent isomorphism; abelian elements only."""
+    """Image under the symmetric-Laurent isomorphism; abelian elements only.
+
+    Horner evaluation over packed integer exponent keys: with D the total
+    degree of x.poly and B = 2D + 1, the exponent vector e packs to the int
+    sum e_i B^(i-1), so a monomial product is one integer add.  Each Horner
+    accumulator is the image of a polynomial of degree <= D, and a generator
+    image moves each coordinate by at most 1 per degree, so every digit e_i
+    stays in [-D, D], where packing is injective.  Keys are unpacked once.
+    """
     if x.group != "abelian":
         raise SkeinError("to_laurent is defined for abelian elements only")
-    rank = x.rank
+    rank, digit = x.rank, x.poly.total_degree()
+    base = 2 * digit + 1
     # Evaluate over ints: scale by the common denominator once, divide back
     # once at the end.
     denom = math.lcm(*(c.denominator for c in x.poly.terms.values()))
     scaled = {
         m: c.numerator * (denom // c.denominator) for m, c in x.poly.terms.items()
     }
-    powers: dict[tuple[AbelianVar, int], LaurentPoly] = {}
 
-    def image_power(var: AbelianVar, power: int) -> LaurentPoly:
+    @functools.cache
+    def image_power(var: AbelianVar, power: int) -> list[tuple[int, int]]:
         # (x^e + x^(-e))^p = sum_j C(p, j) x^((p - 2j) e), e the support of var.
-        cached = powers.get((var, power))
-        if cached is None:
-            support = [i in var.indices for i in range(1, rank + 1)]
-            cached = LaurentPoly._raw(
-                rank,
-                {
-                    tuple(power - 2 * j if s else 0 for s in support): math.comb(power, j)
-                    for j in range(power + 1)
-                },
-            )
-            powers[(var, power)] = cached
-        return cached
+        step = sum(base ** (i - 1) for i in var.indices)
+        return [((power - 2 * j) * step, math.comb(power, j)) for j in range(power + 1)]
 
     # Horner evaluation on the largest variable present; monomial tuples are
-    # sorted, so each monomial's largest variable is its last pair.
-    def horner(terms: dict) -> LaurentPoly:
+    # sorted, so each monomial's largest variable is its last pair.  Products
+    # and sums visit terms in the order of LaurentPoly's own * and + (shorter
+    # factor outermost; the sum extends the product), so the image's terms
+    # come out in the same order.
+    def horner(terms: dict) -> dict:
         if not terms:
-            return LaurentPoly.zero(rank)
+            return {}
         if len(terms) == 1 and () in terms:
-            return LaurentPoly.const(rank, terms[()])
-        vmax = max(m[-1][0] for m in terms if m)
-        groups: dict[int, dict] = {}
+            return {0: terms[()]}
+        vmax = max((m[-1][0] for m in terms if m), key=attrgetter("_key"))
+        groups: dict[int, dict] = {0: {}}
         for m, c in terms.items():
-            if m and m[-1][0] == vmax:
+            if m and m[-1][0] is vmax:
                 groups.setdefault(m[-1][1], {})[m[:-1]] = c
             else:
-                groups.setdefault(0, {})[m] = c
+                groups[0][m] = c
         exps = sorted(groups, reverse=True)
         acc = horner(groups[exps[0]])
-        prev = exps[0]
-        for e in exps[1:]:
-            acc = acc * image_power(vmax, prev - e) + horner(groups[e])
-            prev = e
-        if prev:
-            acc = acc * image_power(vmax, prev)
+        for prev, e in zip(exps, exps[1:]):
+            a, b = list(acc.items()), image_power(vmax, prev - e)
+            if len(a) > len(b):
+                a, b = b, a
+            acc = {}
+            for k1, c1 in a:
+                for k2, c2 in b:
+                    k = k1 + k2
+                    c = acc.get(k, 0) + c1 * c2
+                    if c:
+                        acc[k] = c
+                    else:
+                        del acc[k]
+            for k, c in horner(groups[e]).items():
+                c += acc.get(k, 0)
+                if c:
+                    acc[k] = c
+                else:
+                    del acc[k]
         return acc
 
-    image = horner(scaled)
-    if denom == 1:
-        return image
-    return LaurentPoly._raw(
-        rank, {ev: normalize_coeff(Fraction(c, denom)) for ev, c in image.terms.items()}
-    )
+    offset = digit * sum(base**i for i in range(rank))
+    terms = {}
+    for key, c in horner(scaled).items():
+        key, ev = key + offset, []
+        for _ in range(rank):
+            key, d = divmod(key, base)
+            ev.append(d - digit)
+        terms[tuple(ev)] = c if denom == 1 else normalize_coeff(Fraction(c, denom))
+    return LaurentPoly._raw(rank, terms)

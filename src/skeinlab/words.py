@@ -25,6 +25,11 @@ class Letter(NamedTuple):
     exponent: int
 
 
+# _make_tuple(Letter, (index, exponent)) builds a Letter without running the
+# NamedTuple's Python-level __new__; the hot paths below build letters so.
+_make_tuple = tuple.__new__
+
+
 @dataclass(frozen=True, slots=True)
 class GroupWord:
     """A freely reduced word in F_rank.  The empty letter tuple is the identity."""
@@ -71,9 +76,9 @@ def _merge_letters(pairs: Iterable[tuple[int, int]]) -> list[Letter]:
             if merged == 0:
                 out.pop()
             else:
-                out[-1] = Letter(index, merged)
+                out[-1] = _make_tuple(Letter, (index, merged))
         else:
-            out.append(Letter(index, exponent))
+            out.append(_make_tuple(Letter, (index, exponent)))
     return out
 
 
@@ -124,7 +129,7 @@ def _cyclic_reduce(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
         merged = letters[0].exponent + letters[-1].exponent
         if merged:
             # The ends of the middle differ from this index by free reduction.
-            return (Letter(letters[0].index, merged),) + letters[1:-1]
+            return (_make_tuple(Letter, (letters[0].index, merged)),) + letters[1:-1]
         letters = letters[1:-1]
     return letters
 
@@ -154,8 +159,11 @@ def cyclic_key(w: GroupWord) -> GroupWord:
     keys, inverted, i = best
     if not inverted:
         return GroupWord(w.rank, core[i:] + core[:i])
-    letters = [(index, -size if negative else size) for index, negative, size in keys]
-    return GroupWord(w.rank, tuple(map(Letter._make, letters)))
+    letters = [
+        _make_tuple(Letter, (index, -size if negative else size))
+        for index, negative, size in keys
+    ]
+    return GroupWord(w.rank, tuple(letters))
 
 
 _LETTER_NAMES = "abcd"

@@ -11,6 +11,7 @@ from skeinlab.charvar import (
     TwoBridgePresentation,
     _certified_zero,
     abelian_divisor,
+    check_harvest_size,
     check_x_z2_identity,
     generator_vars,
     harvest_relations,
@@ -226,6 +227,24 @@ def test_harvest_free_2_degree_4_empty():
 def test_harvest_insufficient_samples():
     with pytest.raises(HarvestError):
         harvest_relations(("abelian", 2), 3, 5, seed=0)
+
+
+def test_harvest_size_is_counted_not_enumerated():
+    # The counted sample count matches --samples auto over the listed monomials.
+    for spec in [("free", 1), ("free", 2), ("free", 3), ("abelian", 2), ("abelian", 3)]:
+        nvars = len(generator_vars(spec))
+        for degree in range(5):
+            monos = monomial_exponents(nvars, degree)
+            assert check_harvest_size(spec, degree) == 2 * len(monos)
+            assert check_harvest_size(spec, degree, 7) == 7
+    assert check_harvest_size(("free", 3), 7) == 6864  # 23.6M values still run
+    # Refused before a generator or a sample exists, through the library too.
+    for spec, degree, samples in [(("free", 64), 1, 4), (("free", 10**12), 0, 2),
+                                  (("abelian", 10**8), 10**8, None)]:
+        with pytest.raises(HarvestError, match="too large"):
+            check_harvest_size(spec, degree, samples)
+    with pytest.raises(HarvestError, match="too large"):
+        harvest_relations(("free", 64), 1, 4, seed=0)
 
 
 def test_harvest_abelian_3_and_tangent():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,23 @@ def test_harvest_bad_input_is_usage_error(capsys, argv):
     code, _, err = invoke(capsys, argv)
     assert code == 2
     assert err.startswith("skeinlab: error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "group, degree, samples",
+    [("free:64", "1", "auto"), ("free:3", "40", "auto"), ("free:2", "2", str(10**12))],
+)
+def test_oversized_harvest_is_refused_up_front(capsys, group, degree, samples):
+    # Building 2^64 - 1 variables, C(47, 7) monomials or 10^12 samples would
+    # exhaust memory; the size check runs before any of them is built.
+    argv = ["harvest", "--group", group, "--degree", degree, "--samples", samples]
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("skeinlab: error: harvest too large")
+    assert err.count("skeinlab: error:") == 1 and len(err.splitlines()) == 1
     assert "Traceback" not in err
 
 

@@ -9,7 +9,6 @@ from skeinlab.oracle import (
     SL2IntMatrix,
     eval_word,
     fuzz_check,
-    laurent_character_check,
     random_word,
     sample_representation,
     sample_sl2,
@@ -130,11 +129,24 @@ def test_laurent_character_examples():
 
 
 def test_laurent_character_check_random():
+    # Under x_i -> diag(lambda_i, 1/lambda_i) with random nonzero rational
+    # lambda_i, the canonical form of [v] evaluates to lambda^v + lambda^(-v).
+    from skeinlab.skein import abelian_from_vector, to_laurent
+
     rng = random.Random(12)
     vectors = [
         AbelianVector(n, tuple(rng.randint(-5, 5) for _ in range(n)))
         for n in (rng.randint(1, 4) for _ in range(500))
     ]
-    report = laurent_character_check(vectors, seed=4)
-    assert report.ok
-    assert report.to_dict()["failure_count"] == 0
+    rng = random.Random("skeinlab-character-4")
+    for v in vectors:
+        lams = [
+            Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
+            for _ in range(v.rank)
+        ]
+        direct = inv = Fraction(1)
+        for lam, e in zip(lams, v.coords):
+            direct *= lam**e
+            inv *= lam ** (-e)
+        got = to_laurent(abelian_from_vector(v)).evaluate(lams)
+        assert got == direct + inv, (v, lams)

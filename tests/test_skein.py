@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from skeinlab.skein import (
     SkeinElement,
     SkeinError,
     abelian_from_vector,
-    abelian_multiply,
     from_word,
     multiply,
     parse_abelian_var,
@@ -152,10 +152,10 @@ def test_abelian_from_vector_examples():
 def test_abelian_multiply_examples():
     e1 = abelian_from_vector(AbelianVector(2, (1, 0)))
     e2 = abelian_from_vector(AbelianVector(2, (0, 1)))
-    assert abelian_multiply(e1, e2).poly == v(U1) * v(U2)
+    assert multiply(e1, e2).poly == v(U1) * v(U2)
     zero = abelian_from_vector(AbelianVector(2, (0, 0)))
-    assert abelian_multiply(zero, e1).poly == 2 * v(U1)
-    square = abelian_multiply(e1, e1)
+    assert multiply(zero, e1).poly == 2 * v(U1)
+    square = multiply(e1, e1)
     two_path = (
         abelian_from_vector(AbelianVector(2, (2, 0))).poly
         + abelian_from_vector(AbelianVector(2, (0, 0))).poly
@@ -211,6 +211,65 @@ def test_to_laurent_rescales_dyadic_coefficients():
     assert type(mixed.terms[(0, 0)]) is int
 
 
+def reference_laurent(rank: int, poly: Poly) -> LaurentPoly:
+    # Expand sum c * prod (x^s + x^-s)^e term by term, s the support of each
+    # variable, with LaurentPoly's own ring operations.
+    def image(var):
+        s = tuple(int(i in var.indices) for i in range(1, rank + 1))
+        return LaurentPoly(rank, {s: 1, tuple(-e for e in s): 1})
+
+    pieces = []
+    for m, c in poly.terms.items():
+        piece = LaurentPoly.const(rank, c)
+        for var, e in m:
+            piece = piece * image(var) ** e
+        pieces.append(piece)
+    return LaurentPoly.sum(rank, pieces)
+
+
+def test_to_laurent_matches_reference_expansion():
+    rng = random.Random(38)
+    polys = []
+    for _ in range(150):
+        rank = rng.randint(1, 4)
+        gens = [
+            AbelianVar(s)
+            for k in range(1, rank + 1)
+            for s in itertools.combinations(range(1, rank + 1), k)
+        ]
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            left, mono = rng.randint(0, 12), []
+            for var in rng.sample(gens, rng.randint(0, min(3, len(gens)))):
+                e = rng.randint(0, left)
+                mono.append((var, e))
+                left -= e
+            terms[tuple(mono)] = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4)))
+        polys.append((rank, Poly(terms)))
+    u1, v12 = v(U1), v(V12)
+    U3, V34, W124 = AbelianVar((3,)), AbelianVar((3, 4)), AbelianVar((1, 2, 4))
+    polys += [
+        (3, Poly.zero()),
+        (2, Poly.const(Fraction(-7, 2))),
+        (1, u1**12),
+        (2, v12**12),
+        (2, u1**5 - Fraction(1, 4) * v12**7 + 3),
+        (
+            4,
+            u1 * v(V34)
+            - Fraction(3, 2) * v(W124) ** 2
+            + 5 * v(U3) ** 3 * v(U2)
+            - v12 * v(W124) * v(V34)
+            - 11,
+        ),
+    ]
+    for rank, poly in polys:
+        element = SkeinElement(rank, ReductionMode.DYADIC, "abelian", poly)
+        got, want = to_laurent(element), reference_laurent(rank, poly)
+        assert got.rank == rank and got.terms == want.terms
+        assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+
+
 def test_abelian_round_trip_random():
     rng = random.Random(34)
     for _ in range(200):
@@ -226,7 +285,7 @@ def test_abelian_product_soundness_random():
         v1 = AbelianVector(n, tuple(rng.randint(-3, 3) for _ in range(n)))
         v2 = AbelianVector(n, tuple(rng.randint(-3, 3) for _ in range(n)))
         x, y = abelian_from_vector(v1), abelian_from_vector(v2)
-        assert to_laurent(abelian_multiply(x, y)) == to_laurent(x) * to_laurent(y)
+        assert to_laurent(multiply(x, y)) == to_laurent(x) * to_laurent(y)
 
 
 def test_abelian_commutativity_and_associativity():
@@ -240,10 +299,10 @@ def test_abelian_commutativity_and_associativity():
             for _ in range(3)
         ]
         x, y, z = xs
-        assert abelian_multiply(x, y).poly == abelian_multiply(y, x).poly
+        assert multiply(x, y).poly == multiply(y, x).poly
         assert (
-            abelian_multiply(abelian_multiply(x, y), z).poly
-            == abelian_multiply(x, abelian_multiply(y, z)).poly
+            multiply(multiply(x, y), z).poly
+            == multiply(x, multiply(y, z)).poly
         )
 
 
