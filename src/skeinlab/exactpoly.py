@@ -5,8 +5,9 @@ Coefficients are exact rationals: plain Python ints wherever possible,
 monomials to coefficients; a monomial is a tuple of (variable, power) pairs
 sorted by the variable order.  The global term order is graded-lex over the
 variable order, which keeps serialized canonical forms byte-stable.
-Laurent polynomials key their terms by dense exponent tuples instead; both
-kinds share one implementation of the ring operations (_SparsePoly).
+Laurent polynomials key their terms by dense exponent tuples instead, and
+PackedPoly by packed integer monomials; all three share one implementation
+of the ring operations (_SparsePoly).
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from typing import Iterable, Mapping, Sequence
 Coeff = int | Fraction
 
 Monomial = tuple  # tuple[tuple[var, int], ...], sorted by var
+
+# Width of one variable's exponent field in a packed monomial (PackedPoly).
+FIELD_BITS = 10
 
 
 class PolyError(ValueError):
@@ -62,17 +66,22 @@ class InternedVar:
     Variables compare by (cardinality, lexicographic), so t_1 < t_2 < t_12.
     Each subclass keeps its own registry: constructing it with an equal set
     returns the same object, so equality is identity and monomial hashing
-    uses the default identity hash, in C.  Subclasses name the set, print
-    themselves and choose the error raised for a bad set.
+    uses the default identity hash, in C.  Interning also gives each variable
+    the next exponent field of a packed monomial: the n-th variable of a
+    subclass owns bits [n*FIELD_BITS, (n+1)*FIELD_BITS), fixed for the life of
+    the process.  Subclasses name the set, print themselves and choose the
+    error raised for a bad set.
     """
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_shift")
     _error: type[ValueError] = PolyError
     _noun = "index set"
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls._registry = {}
+        cls._interned = []  # the n-th interned variable owns field n
+        cls._powers = {}  # n << FIELD_BITS | e -> the shared pair (var n, e)
 
     def __new__(cls, indices: Iterable[int]):
         key = tuple(sorted(set(indices)))
@@ -85,7 +94,9 @@ class InternedVar:
             )
         self = object.__new__(cls)
         self._key = (len(key), key)
+        self._shift = FIELD_BITS * len(cls._interned)
         cls._registry[key] = self
+        cls._interned.append(self)
         return self
 
     @property
@@ -136,14 +147,17 @@ def _mono_normalize(m: Monomial) -> Monomial:
     return tuple(pairs)
 
 
-def _add_terms(out: dict, items: Iterable) -> dict:
-    """Add (monomial, nonzero normalized coefficient) pairs into out, in place.
+def _add_terms(out: dict, items: Iterable, subtract: bool = False) -> dict:
+    """Add (or subtract) (monomial, nonzero normalized coefficient) pairs into
+    out, in place.
 
     Zero sums are dropped and integral sums become ints, so out stays a valid
     terms dict.  Returns out.
     """
     get = out.get
     for m, c in items:
+        if subtract:
+            c = -c
         acc = get(m)
         if acc is None:
             out[m] = c
@@ -163,11 +177,11 @@ def _sum_terms(polys: Iterable) -> dict:
 class _SparsePoly:
     """Exact sparse terms {monomial: coefficient} and the ring operations on them.
 
-    Coefficients are never zero, and integral ones are ints.  Poly and
-    LaurentPoly differ only in their monomials.  Each supplies `_mono_mul`
-    (the product of two monomials), `_like` (an element of the same ring
-    around a finished terms dict), `_const` (a constant of that ring) and
-    `_ring` (equal for elements that may be combined).
+    Coefficients are never zero, and integral ones are ints.  Poly,
+    LaurentPoly and PackedPoly differ only in their monomials.  Each
+    supplies `_mono_mul` (the product of two monomials), `_like` (an element
+    of the same ring around a finished terms dict), `_const` (a constant of
+    that ring) and `_ring` (equal for elements that may be combined).
     """
 
     __slots__ = ("terms",)
@@ -209,13 +223,13 @@ class _SparsePoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._like(_add_terms(dict(self.terms), other.terms.items(), True))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -225,20 +239,25 @@ class _SparsePoly:
         if len(a) > len(b):
             a, b = b, a
         mono_mul = self._mono_mul
-        out: dict = {}
-        get = out.get
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                acc = get(m)
-                if acc is None:
-                    out[m] = c1 * c2
-                    continue
-                s = acc + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
+        if len(a) == 1:
+            # One monomial times distinct monomials gives distinct monomials.
+            [(m1, c1)] = a.items()
+            out = {mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()}
+        else:
+            out = {}
+            get = out.get
+            for m1, c1 in a.items():
+                for m2, c2 in b.items():
+                    m = mono_mul(m1, m2)
+                    acc = get(m)
+                    if acc is None:
+                        out[m] = c1 * c2
+                        continue
+                    s = acc + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
         for m, c in out.items():
             if type(c) is not int:
                 out[m] = normalize_coeff(c)
@@ -560,6 +579,55 @@ class LaurentPoly(_SparsePoly):
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "LaurentPoly(" + " + ".join(bits) + ")"
+
+
+class PackedPoly(_SparsePoly):
+    """Sparse polynomial on packed integer monomials, for inner loops.
+
+    The monomial prod v^e_v is the int sum of e_v << v._shift (see
+    InternedVar), so a product of monomials is one integer add, and keys hash
+    and compare in C.  Packing is injective only while every exponent stays
+    below 2^FIELD_BITS; a larger one carries into the next variable's field.
+    Callers bound the degree: nothing here checks it.
+    """
+
+    __slots__ = ()
+    _ring = None
+    _mono_mul = operator.add
+
+    @classmethod
+    def _raw(cls, terms: dict[int, Coeff]) -> "PackedPoly":
+        p = object.__new__(cls)
+        p.terms = terms
+        return p
+
+    _like = _raw
+
+    @classmethod
+    def const(cls, c: Coeff) -> "PackedPoly":
+        c = normalize_coeff(c)
+        return cls._raw({0: c} if c != 0 else {})
+
+    _const = const
+
+    @classmethod
+    def variable(cls, var: InternedVar) -> "PackedPoly":
+        return cls._raw({1 << var._shift: 1})
+
+    @staticmethod
+    def unpack(key: int, var_cls: type[InternedVar]) -> Monomial:
+        """The Poly monomial of a packed key over the variables of var_cls."""
+        powers, pairs = var_cls._powers, []
+        while key:
+            n = (key.bit_length() - 1) // FIELD_BITS
+            e = key >> (n * FIELD_BITS)
+            key ^= e << (n * FIELD_BITS)
+            pair = powers.get(n << FIELD_BITS | e)
+            if pair is None:
+                pair = powers[n << FIELD_BITS | e] = (var_cls._interned[n], e)
+            pairs.append(pair)
+        pairs.sort(key=lambda pair: pair[0]._key)
+        return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ class OracleError(ValueError):
     pass
 
 
+FUZZ_MAX_COUNT = 10**6  # words; about a quarter of an hour of fuzzing
+
+
 @dataclass(frozen=True, slots=True)
 class SL2IntMatrix:
     a: int
@@ -176,6 +179,12 @@ def fuzz_check(
 
     if count < 1 or max_rank < 1 or max_len < 1:
         raise OracleError("fuzz parameters must be positive")
+    limit = trace_engine.MAX_SYMBOL_LENGTH  # one matrix per generator a trial
+    if count > FUZZ_MAX_COUNT or max_rank > limit or max_len > limit:
+        raise OracleError(
+            f"fuzz parameters too large: the limits are {FUZZ_MAX_COUNT:,} words"
+            f" and {limit} for the rank and the word length"
+        )
     mode = trace_engine.ReductionMode(mode)
     if engine is None:
         engine = trace_engine.get_engine(mode)

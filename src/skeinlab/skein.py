@@ -176,8 +176,16 @@ def _vector_canonical_integral(v: AbelianVector) -> Poly:
 def abelian_from_vector(
     v: AbelianVector, mode: ReductionMode = ReductionMode.DYADIC
 ) -> SkeinElement:
-    """Canonical form of [v] in S(Z^rank); the zero vector maps to 2."""
+    """Canonical form of [v] in S(Z^rank); the zero vector maps to 2.
+
+    Both modes refuse v as trace_engine would refuse its pull-back word."""
     mode = ReductionMode(mode)
+    length = sum(map(abs, v.coords))
+    if length > trace_engine.MAX_SYMBOL_LENGTH:
+        raise SkeinError(
+            f"vector too long: sum |v_i| = {length}, the limit is"
+            f" {trace_engine.MAX_SYMBOL_LENGTH}"
+        )
     if mode is ReductionMode.DYADIC:
         poly = _vector_canonical_dyadic(v)
     else:

@@ -26,6 +26,21 @@ each word it needs and is sent back its polynomial; only memo misses are
 pushed.  So depth is bounded by memory, not by the recursion limit, and the
 rule order and the memo's fill order are those of a recursive evaluation.
 
+The engine computes on packed monomials (exactpoly.PackedPoly): the
+variable t_S owns a FIELD_BITS-bit field of an int, fixed when t_S is
+interned, so a monomial product is one integer add and a memo shared by
+several engines stays valid.  Packing is exact while every exponent is below
+2^FIELD_BITS.  The rules keep every exponent of tr(w) at most the symbol
+length of w: give t_S the weight |S|; R1-R4 replace a word of length n by
+sums of products whose words' lengths add up to at most n, and so does R5,
+because every monomial of the size-4 rule uses each of the four blocks
+exactly once (weight 4).  A rule of higher weight could repeat a block and
+overflow a field, so the engine refuses one, and reduce refuses a word whose
+cyclic reduction is longer than MAX_SYMBOL_LENGTH.  Dyadic values are kept
+as integer numerators over a power of two (_Dyadic): R5 adds one to the
+shift, sums align shifts by one scaling, and reduce divides the shift out
+when it converts a result to a Poly, once per word and engine.
+
 Sorted square-free words that survive the rules ARE the canonical variables.
 Integral mode keeps all 2^n - 1 subset variables and stays over the
 integers; dyadic mode allows only |S| <= 3 and introduces denominators that
@@ -44,16 +59,18 @@ by every fuzz run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import or_
 from typing import Generator, Mapping, Sequence
 
 from . import _modlin
-from .exactpoly import Poly, SubsetVar
+from .exactpoly import FIELD_BITS, PackedPoly, Poly, SubsetVar
 from .oracle import SL2IntMatrix, sample_sl2
 from .words import GroupWord, Letter, cyclic_key, reduce_word
 
@@ -232,6 +249,97 @@ def skein_basis_vars(n: int, mode: ReductionMode) -> list[SubsetVar]:
     return out
 
 
+# The longest cyclically reduced word reduce accepts: every exponent of its
+# trace polynomial fits a packed field (see the module docstring).
+MAX_SYMBOL_LENGTH = (1 << FIELD_BITS) - 1
+
+
+class _Dyadic:
+    """The value num / 2^shift of the dyadic engine.
+
+    num is a PackedPoly with integer coefficients, not all even, and shift is
+    >= 1; a value with shift 0 is kept as its plain PackedPoly.  The
+    operators take PackedPolys and other _Dyadic values in either position
+    and keep the operand order of the rational arithmetic they replace, so
+    terms come out in the same order.
+    """
+
+    __slots__ = ("num", "shift")
+
+    def __init__(self, num: PackedPoly, shift: int):
+        self.num = num
+        self.shift = shift
+
+    def __mul__(self, other):
+        return _dyadic_mul(self, other)
+
+    def __rmul__(self, other):
+        return _dyadic_mul(other, self)
+
+    def __add__(self, other):
+        return _dyadic_add(self, other, False)
+
+    def __radd__(self, other):
+        return _dyadic_add(other, self, False)
+
+    def __sub__(self, other):
+        return _dyadic_add(self, other, True)
+
+    def __rsub__(self, other):
+        return _dyadic_add(other, self, True)
+
+
+def _split(x) -> tuple[PackedPoly, int]:
+    return (x.num, x.shift) if type(x) is _Dyadic else (x, 0)
+
+
+def _lowest_terms(num: PackedPoly, shift: int, twos: PackedPoly):
+    """num / 2^shift in lowest terms, where the nonzero num's content holds
+    the same power of two as the content of twos."""
+    bits = functools.reduce(or_, twos.terms.values())
+    drop = min(shift, (bits & -bits).bit_length() - 1)
+    if drop:
+        num = num * Fraction(1, 1 << drop)
+    return _Dyadic(num, shift - drop) if shift > drop else num
+
+
+def _dyadic_mul(x, y):
+    a, j = _split(x)
+    b, k = _split(y)
+    product = a * b
+    if j and k:
+        # Mod 2, a product of nonzero polynomials is nonzero (Gauss).
+        return _Dyadic(product, j + k)
+    if not product.terms:
+        return product
+    # Gauss again: the _Dyadic numerator's content is odd, so the product's
+    # content holds the power of two of the plain factor's.
+    return _lowest_terms(product, j + k, b if j else a)
+
+
+def _dyadic_add(x, y, subtract: bool):
+    a, j = _split(x)
+    b, k = _split(y)
+    if j < k:
+        a = a * (1 << (k - j))
+    elif k < j:
+        b = b * (1 << (j - k))
+    total = a - b if subtract else a + b
+    if j != k:
+        # The odd coefficients of the larger shift's numerator survive.
+        return _Dyadic(total, max(j, k))
+    return _lowest_terms(total, j, total) if total.terms else total
+
+
+_HALF = _Dyadic(PackedPoly.const(1), 1)
+
+
+@functools.cache
+def _generator(index: int) -> PackedPoly:
+    """t_g for the generator g_index, shared: no operation mutates an operand."""
+    return PackedPoly.variable(SubsetVar((index,)))
+
+
 class TraceEngine:
     """Reduction engine for one mode; reuse one instance to share the memo table."""
 
@@ -239,25 +347,54 @@ class TraceEngine:
         self,
         mode: ReductionMode,
         rule_k4: RuleK4 | None = None,
-        memo: dict[tuple[GroupWord, ReductionMode], Poly] | None = None,
+        memo: dict[tuple[GroupWord, ReductionMode], object] | None = None,
     ):
         self.mode = ReductionMode(mode)
-        if self.mode is ReductionMode.DYADIC and rule_k4 is None:
-            rule_k4 = derive_rule_k4()
+        if self.mode is ReductionMode.DYADIC:
+            if rule_k4 is None:
+                rule_k4 = derive_rule_k4()
+            for m, _ in rule_k4.coefficients:
+                blocks = sorted(i for subset, power in m for i in subset * power)
+                if blocks != [1, 2, 3, 4]:
+                    raise EngineError(
+                        f"size-4 rule monomial {m} does not use each block once"
+                    )
         self.rule_k4 = rule_k4
+        # Packed values (PackedPoly or _Dyadic) by (cyclic key, mode); engines
+        # may share it.  The Polys reduce returned, and the Poly monomial of
+        # each packed key, are kept per engine.
         self.memo = memo if memo is not None else {}
+        self._polys: dict[GroupWord, Poly] = {}
+        self._monomials: dict[int, tuple] = {}
         self.stats: Counter[str] = Counter()
 
     # -- public API ---------------------------------------------------------
 
     def reduce(self, word: GroupWord) -> Poly:
         """Canonical polynomial of word; see the module docstring for the stack."""
-        memo, mode, stats = self.memo, self.mode, self.stats
         key = cyclic_key(word)
+        poly = self._polys.get(key)
+        if poly is None:
+            poly = self._polys[key] = self._to_poly(self._evaluate(key))
+        else:
+            self.stats["r0_memo_hit"] += 1
+        return poly
+
+    # -- internals ----------------------------------------------------------
+
+    def _evaluate(self, key: GroupWord):
+        """Packed value of a cyclic key, from the memo or by rewriting."""
+        memo, mode, stats = self.memo, self.mode, self.stats
         value = memo.get((key, mode))
         if value is not None:
             stats["r0_memo_hit"] += 1
             return value
+        length = key.symbol_length()
+        if length > MAX_SYMBOL_LENGTH:
+            raise EngineError(
+                f"word too long to reduce: symbol length {length} after cyclic"
+                f" reduction, the limit is {MAX_SYMBOL_LENGTH}"
+            )
         stack = [(key, self._reduce_canonical(key))]
         while stack:
             key, rewrite = stack[-1]
@@ -275,18 +412,28 @@ class TraceEngine:
                 stack.append((child, self._reduce_canonical(child)))
         return value
 
-    # -- internals ----------------------------------------------------------
+    def _to_poly(self, value) -> Poly:
+        """Poly of a packed value; keys are unpacked once, sorted by variable."""
+        num, shift = _split(value)
+        monomials, mask = self._monomials, (1 << shift) - 1
+        terms = {}
+        for key, c in num.terms.items():
+            m = monomials.get(key)
+            if m is None:
+                m = monomials[key] = PackedPoly.unpack(key, SubsetVar)
+            terms[m] = c >> shift if not c & mask else Fraction(c, 1 << shift)
+        return Poly._raw(terms)
 
-    def _reduce_canonical(self, w: GroupWord) -> Generator[tuple, Poly, Poly]:
+    def _reduce_canonical(self, w: GroupWord) -> Generator[tuple, object, object]:
         """Rewrite one cyclic key; yields (rank, pairs) per child trace needed."""
         letters = w.letters
         rank = w.rank
         if not letters:
             self.stats["identity"] += 1
-            return Poly.const(2)
+            return PackedPoly.const(2)
         if len(letters) == 1 and abs(letters[0].exponent) == 1:
             self.stats["generator"] += 1
-            return Poly.variable(SubsetVar((letters[0].index,)))
+            return _generator(letters[0].index)
 
         # R1: Cayley-Hamilton on the leftmost letter with |exponent| >= 2.
         for pos, l in enumerate(letters):
@@ -294,7 +441,7 @@ class TraceEngine:
             if abs(e) >= 2:
                 self.stats["r1_cayley_hamilton"] += 1
                 s = 1 if e > 0 else -1
-                t_g = Poly.variable(SubsetVar((l.index,)))
+                t_g = _generator(l.index)
                 drop_one = [
                     (x.index, x.exponent if i != pos else e - s)
                     for i, x in enumerate(letters)
@@ -309,7 +456,7 @@ class TraceEngine:
         for pos, l in enumerate(letters):
             if l.exponent == -1:
                 self.stats["r2_inverse"] += 1
-                t_g = Poly.variable(SubsetVar((l.index,)))
+                t_g = _generator(l.index)
                 vu = [(x.index, x.exponent) for x in letters[pos + 1 :] + letters[:pos]]
                 return t_g * (yield rank, vu) - (yield rank, vu + [(l.index, 1)])
 
@@ -348,8 +495,8 @@ class TraceEngine:
                 a_blk = [(l.index, 1) for l in rot[i + 2 :]] + [
                     (l.index, 1) for l in rot[:i]
                 ]
-                t_x = Poly.variable(SubsetVar((x.index,)))
-                t_y = Poly.variable(SubsetVar((y.index,)))
+                t_x = _generator(x.index)
+                t_y = _generator(y.index)
                 t_a = yield rank, a_blk
                 t_bc = yield rank, [(y.index, 1), (x.index, 1)]
                 t_ac = yield rank, a_blk + [(x.index, 1)]
@@ -366,7 +513,7 @@ class TraceEngine:
         indices = tuple(l.index for l in rot)
         if self.mode is ReductionMode.INTEGRAL or len(indices) <= 3:
             self.stats["subset_variable"] += 1
-            return Poly.variable(SubsetVar(indices))
+            return PackedPoly.variable(SubsetVar(indices))
 
         # R5: dyadic elimination of a sorted square-free word of length >= 4.
         self.stats["r5_size4_rule"] += 1
@@ -376,16 +523,16 @@ class TraceEngine:
             (rot[2],),
             tuple(rot[3:]),
         )
-        acc = Poly.zero()
+        acc = PackedPoly.const(0)
         for m, c in self.rule_k4.coefficients:
-            term = Poly.const(c)
-            for subset, power in m:
+            term = PackedPoly.const(c)
+            for subset, _ in m:  # each power is 1: the rule has weight 4
                 pairs = [
                     (l.index, 1) for b in subset for l in blocks[b - 1]
                 ]
-                term = term * (yield rank, pairs) ** power
+                term = term * (yield rank, pairs)
             acc = acc + term
-        return Fraction(1, 2) * acc
+        return _HALF * acc
 
 
 _default_engines: dict[ReductionMode, TraceEngine] = {}

@@ -321,3 +321,78 @@ def test_selftest_quick_exits_zero(capsys):
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 10
     assert all(l.startswith(("PASS", "SKIP")) for l in lines)
+
+
+_HUGE = "99999999999"
+
+# (argv, exit code): deep and long words, huge sizes, malformed lists.
+_EDGE_CASES = [
+    (["reduce", "--rank", "1", f"a^{_HUGE}"], 2),
+    (["multiply", "--rank", "1", f"a^{_HUGE}", "a"], 2),
+    (["abelian", "--rank", "1", "--vector", _HUGE], 2),
+    (["abelian", "--rank", "1", "--vector", _HUGE, "--mode", "integral"], 2),
+    (["reduce", "--rank", "2", "a^512 b^512"], 2),
+    (["reduce", "--rank", "2", "--mode", "dyadic", "a^2000 b a^-2000"], 0),
+    (["reduce", "--rank", "2", " ".join(["a b^-1"] * 30)], 0),
+    (["abelian", "--rank", "2", "--vector", "512,512"], 2),
+    (["reduce", "--rank", _HUGE, f"g1 g{_HUGE}"], 0),
+    (["multiply", "--rank", _HUGE, "a", "b"], 0),
+    (["abelian", "--rank", _HUGE, "--vector", "1"], 2),
+    (["fuzz", "--count", _HUGE], 2),
+    (["fuzz", "--count", "1", "--max-rank", _HUGE], 2),
+    (["fuzz", "--count", "1", "--max-len", _HUGE], 2),
+    (["harvest", "--group", "free:2", "--degree", _HUGE], 2),
+    (["harvest", "--group", "abelian:2", "--degree", _HUGE], 2),
+    (["abelian", "--rank", "2", "--vector", ""], 2),
+    (["abelian", "--rank", "2", "--vector", " "], 2),
+    (["abelian", "--rank", "2", "--vector", "1,,2"], 2),
+    (["abelian", "--rank", "2", "--vector", "a,b"], 2),
+    (["abelian", "--rank", "2", "--vector", "1.5,2"], 2),
+    (["abelian", "--rank", "2", "--vector", "1,2,3"], 2),
+    (["two-bridge", "--epsilons", ""], 2),
+    (["two-bridge", "--epsilons", "1,,-1"], 2),
+    (["two-bridge", "--epsilons", "1,2"], 2),
+    (["two-bridge", "--epsilons", "x"], 2),
+    (["two-bridge", "--epsilons", "+1,-1"], 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", _EDGE_CASES, ids=[" ".join(a)[:48] for a, _ in _EDGE_CASES]
+)
+def test_cli_edge_case_sweep(capsys, argv, expected):
+    start = time.perf_counter()
+    code, _, err = invoke(capsys, argv)
+    assert code in (0, 1, 2) and code == expected, err
+    assert err.count("skeinlab: error:") <= 1
+    assert "Traceback" not in err
+    if code == 2:
+        assert time.perf_counter() - start < 1.0  # refused up front
+        assert err.startswith("skeinlab: error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abelian", "--rank", "4", "--vector", "3,-2,1,2", "--json"],
+        ["two-bridge", "--knot", "trefoil"],
+        ["reduce", "--rank", "1", f"a^{_HUGE}"],
+    ],
+)
+def test_cli_edge_case_sweep_closed_stdout(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src_dir = Path(skeinlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    proc = subprocess.run(
+        [sys.executable, "-m", "skeinlab.cli", *argv],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    )
+    os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode in (0, 1, 2)
+    assert err.count("skeinlab: error:") <= 1
+    assert "Traceback" not in err

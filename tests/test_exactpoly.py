@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from skeinlab.exactpoly import (
+    FIELD_BITS,
     LaurentPoly,
+    PackedPoly,
     Poly,
     PolyDivisionError,
     PolyError,
@@ -226,3 +228,51 @@ def test_pretty_printer():
     assert poly_pretty(v(T1) * v(T1) - 2) == "t1^2 - 2"
     assert poly_pretty(Fraction(1, 2) * v(T1)) == "1/2*t1"
     assert poly_pretty(-v(T1) + 1) == "-t1 + 1"
+
+
+_GENERATORS = {
+    Poly: lambda: (v(T1), v(T2)),
+    LaurentPoly: lambda: (
+        LaurentPoly.monomial(2, (1, 0)),
+        LaurentPoly.monomial(2, (0, 1)),
+    ),
+    PackedPoly: lambda: (PackedPoly.variable(T1), PackedPoly.variable(T2)),
+}
+
+
+@pytest.mark.parametrize("cls", list(_GENERATORS), ids=lambda c: c.__name__)
+def test_integral_results_of_fraction_inputs_are_ints(cls):
+    x, y = _GENERATORS[cls]()
+    half = Fraction(1, 2)
+    a = half * x + half * y  # Fraction coefficients
+    b = Fraction(3, 2) * x - half * y
+    results = [
+        a * (2 * x),  # one-term factor
+        (2 * x) * a,
+        a * (2 * x + 2 * y),  # general product
+        (2 * x + 2 * y) * a,
+        a + b,
+        a - (Fraction(-3, 2) * x + half * y),
+        b - a,
+        Fraction(5, 2) * y - (Fraction(1, 2) * y - 4 * x) + 0 * a,
+        Fraction(1, 2) - (half - a) - a + x,  # reflected subtraction
+        4 * a,
+        a * Fraction(6),
+        Fraction(2) * a,
+        (x * half) * (y * 2),
+    ]
+    for p in results:
+        assert p.terms, p
+        assert all(type(c) is int for c in p.terms.values()), p.terms
+
+
+def test_packed_monomials_unpack_sorted_by_variable():
+    t3 = SubsetVar((3,))
+    t1, t12 = PackedPoly.variable(T1), PackedPoly.variable(T12)
+    p = t12 * t1**3 * PackedPoly.variable(t3)
+    [(key, c)] = p.terms.items()
+    assert c == 1
+    assert PackedPoly.unpack(key, SubsetVar) == ((T1, 3), (t3, 1), (T12, 1))
+    top = 2**FIELD_BITS - 1
+    [key] = (PackedPoly.variable(T2) ** top).terms
+    assert PackedPoly.unpack(key, SubsetVar) == ((T2, top),)

@@ -1,8 +1,12 @@
 import json
 import random
 import sys
+from fractions import Fraction
+
+import pytest
 
 from skeinlab.exactpoly import (
+    FIELD_BITS,
     Poly,
     SubsetVar,
     is_dyadic,
@@ -16,13 +20,16 @@ from skeinlab.oracle import (
     subset_trace_assignment,
 )
 from skeinlab.trace_engine import (
+    MAX_SYMBOL_LENGTH,
+    EngineError,
     ReductionMode,
+    RuleK4,
     TraceEngine,
     get_engine,
     reduce_trace,
     skein_basis_vars,
 )
-from skeinlab.words import concat, invert, parse_word, reduce_word
+from skeinlab.words import concat, cyclic_key, invert, parse_word, reduce_word
 
 T1 = SubsetVar((1,))
 T2 = SubsetVar((2,))
@@ -211,3 +218,177 @@ def test_deep_word_reduces_under_the_default_recursion_limit():
         for rep in reps:
             assignment = subset_trace_assignment(rep, poly.variables())
             assert poly.evaluate(assignment) == eval_word(w, rep).trace
+
+
+def test_word_longer_than_the_packed_field_is_refused():
+    engine = TraceEngine(ReductionMode.INTEGRAL)
+    assert MAX_SYMBOL_LENGTH == 2**FIELD_BITS - 1
+    with pytest.raises(EngineError, match="too long"):
+        engine.reduce(parse_word(f"a^{MAX_SYMBOL_LENGTH} b", 2))
+    with pytest.raises(EngineError, match="too long"):
+        engine.reduce(parse_word("a^99999999999", 1))
+    # The limit applies after cyclic reduction: a conjugate of b is short.
+    assert engine.reduce(parse_word("a^2000 b a^-2000", 2)) == v(T2)
+    top = engine.reduce(parse_word(f"a^{MAX_SYMBOL_LENGTH}", 1))
+    assert max(m[0][1] for m in top.terms if m) == MAX_SYMBOL_LENGTH
+
+
+def test_rule_of_weight_above_four_is_refused():
+    rule = get_engine(ReductionMode.DYADIC).rule_k4
+    heavy = ((((1,), 3), ((2,), 1), ((3,), 1), ((4,), 1)), 1)
+    bad = RuleK4(rule.coefficients + (heavy,), weight_bound=6, seed=rule.seed)
+    with pytest.raises(EngineError, match="each block once"):
+        TraceEngine(ReductionMode.DYADIC, rule_k4=bad)
+
+
+class _ReferenceEngine:
+    """The rewriting rules on Poly values, as the engine ran them before it
+    moved to packed monomials and integer dyadic numerators."""
+
+    def __init__(self, mode, rule_k4=None):
+        self.mode, self.rule_k4, self.memo = mode, rule_k4, {}
+
+    def reduce(self, word):
+        memo = self.memo
+        key = cyclic_key(word)
+        value = memo.get(key)
+        if value is not None:
+            return value
+        stack = [(key, self._rewrite(key))]
+        while stack:
+            key, rewrite = stack[-1]
+            try:
+                rank, pairs = rewrite.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = memo[key] = done.value
+                continue
+            child = cyclic_key(reduce_word(pairs, rank))
+            value = memo.get(child)
+            if value is None:
+                stack.append((child, self._rewrite(child)))
+        return value
+
+    def _rewrite(self, w):
+        letters, rank = w.letters, w.rank
+        if not letters:
+            return Poly.const(2)
+        if len(letters) == 1 and abs(letters[0].exponent) == 1:
+            return v(SubsetVar((letters[0].index,)))
+        for pos, l in enumerate(letters):  # R1
+            e = l.exponent
+            if abs(e) >= 2:
+                s = 1 if e > 0 else -1
+                one = [(x.index, x.exponent) for x in letters]
+                two = list(one)
+                one[pos], two[pos] = (l.index, e - s), (l.index, e - 2 * s)
+                return v(SubsetVar((l.index,))) * (yield rank, one) - (yield rank, two)
+        for pos, l in enumerate(letters):  # R2
+            if l.exponent == -1:
+                vu = [(x.index, x.exponent) for x in letters[pos + 1 :] + letters[:pos]]
+                t_g = v(SubsetVar((l.index,)))
+                return t_g * (yield rank, vu) - (yield rank, vu + [(l.index, 1)])
+        first_at, repeat_pos = {}, None
+        for pos, l in enumerate(letters):  # R3
+            if l.index in first_at:
+                repeat_pos = first_at[l.index]
+                break
+            first_at[l.index] = pos
+        if repeat_pos is not None:
+            rot = letters[repeat_pos:] + letters[:repeat_pos]
+            second = next(i for i in range(1, len(rot)) if rot[i].index == rot[0].index)
+            a_blk, b_blk = rot[1:second], rot[second + 1 :]
+            xa = [(l.index, 1) for l in rot[:second]]
+            xb = [(rot[0].index, 1)] + [(l.index, 1) for l in b_blk]
+            ab_inv = [(l.index, 1) for l in a_blk]
+            ab_inv += [(l.index, -1) for l in reversed(b_blk)]
+            return (yield rank, xa) * (yield rank, xb) - (yield rank, ab_inv)
+        mpos = min(range(len(letters)), key=lambda i: letters[i].index)
+        rot = letters[mpos:] + letters[:mpos]
+        for i in range(len(rot) - 1):  # R4
+            if rot[i].index > rot[i + 1].index:
+                x, y = rot[i], rot[i + 1]
+                a_blk = [(l.index, 1) for l in rot[i + 2 :] + rot[:i]]
+                t_x, t_y = v(SubsetVar((x.index,))), v(SubsetVar((y.index,)))
+                t_a = yield rank, a_blk
+                t_bc = yield rank, [(y.index, 1), (x.index, 1)]
+                t_ac = yield rank, a_blk + [(x.index, 1)]
+                t_ab = yield rank, a_blk + [(y.index, 1)]
+                t_abc = yield rank, a_blk + [(y.index, 1), (x.index, 1)]
+                return t_a * t_bc + t_y * t_ac + t_x * t_ab - t_a * t_y * t_x - t_abc
+        indices = tuple(l.index for l in rot)
+        if self.mode is ReductionMode.INTEGRAL or len(indices) <= 3:
+            return v(SubsetVar(indices))
+        blocks = ((rot[0],), (rot[1],), (rot[2],), tuple(rot[3:]))  # R5
+        acc = Poly.zero()
+        for m, c in self.rule_k4.coefficients:
+            term = Poly.const(c)
+            for subset, power in m:
+                pairs = [(l.index, 1) for b in subset for l in blocks[b - 1]]
+                term = term * (yield rank, pairs) ** power
+            acc = acc + term
+        return Fraction(1, 2) * acc
+
+
+def _assert_same_terms(words, engines, references):
+    for w in words:
+        for engine, reference in zip(engines, references):
+            got, want = engine.reduce(w), reference.reduce(w)
+            assert list(got.terms.items()) == list(want.terms.items()), w
+            # Integral coefficients are ints, never Fraction(n, 1).
+            assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+
+
+def _random_words(rng, ranks, count, max_len):
+    return [
+        reduce_word(
+            [
+                (rng.randint(1, rank), rng.choice((-3, -2, -1, 1, 2, 3)))
+                for _ in range(rng.randint(0, max_len))
+            ],
+            rank,
+        )
+        for rank in ranks
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("mode", list(ReductionMode))
+def test_packed_engine_matches_poly_reference(mode):
+    rule = get_engine(mode).rule_k4
+    words = _random_words(random.Random(30), range(1, 7), 40, 6)
+    _assert_same_terms(
+        words, [TraceEngine(mode, rule_k4=rule)], [_ReferenceEngine(mode, rule)]
+    )
+
+
+def test_packed_engines_sharing_a_memo_match_reference():
+    rule = get_engine(ReductionMode.DYADIC).rule_k4
+    shared: dict = {}
+    engines = [
+        TraceEngine(mode, rule_k4=rule, memo=shared)
+        for mode in (ReductionMode.DYADIC, ReductionMode.INTEGRAL, ReductionMode.DYADIC)
+    ]
+    references = [_ReferenceEngine(e.mode, rule) for e in engines]
+    words = _random_words(random.Random(31), range(2, 6), 25, 7)
+    _assert_same_terms(words, engines, references)
+
+
+def test_packed_engine_matches_reference_past_field_63():
+    # Each result has more than 64 variables, so some own a field past 63.
+    w = parse_word("g1 g3 g2 g4 g6 g5 g7 g9 g8 g10", 10)
+    rule = get_engine(ReductionMode.DYADIC).rule_k4
+    for mode in ReductionMode:
+        engine = TraceEngine(mode, rule_k4=rule)
+        _assert_same_terms([w], [engine], [_ReferenceEngine(mode, rule)])
+        variables = engine.reduce(w).variables()
+        assert len(variables) > 64
+        assert max(var._shift for var in variables) >= 64 * FIELD_BITS
+
+
+def test_packed_engine_matches_reference_on_deep_word():
+    w = parse_word("a^1000 b", 2)
+    rule = get_engine(ReductionMode.DYADIC).rule_k4
+    for mode in ReductionMode:
+        engine = TraceEngine(mode, rule_k4=rule)
+        _assert_same_terms([w], [engine], [_ReferenceEngine(mode, rule)])
