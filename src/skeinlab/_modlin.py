@@ -6,6 +6,7 @@ products over chunks short enough to stay below 2^53, reduced once per chunk
 (the delayed reduction of FFLAS-FFPACK: Dumas, Giorgi and Pernet, ACM TOMS
 35(3), 2008).  The harvest finds nullspaces modulo a few primes, lifts them
 by CRT + rational reconstruction, and certifies the candidates exactly.
+Exact elimination over Q, `int_rref`, runs on primitive integer rows.
 """
 
 from __future__ import annotations
@@ -182,30 +183,35 @@ def rational_reconstruct(r: int, modulus: int) -> Fraction | None:
     return Fraction(n, d)
 
 
-def fraction_rref(
-    rows: Sequence[Sequence[Fraction | int]],
-) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (all rows, pivot columns).
+def primitive(v: Sequence[int]) -> list[int]:
+    """v divided by its content, the gcd of its entries (v itself when all zero)."""
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else list(v)
 
-    Columns are scanned left to right and each pivot is the first nonzero
-    entry at or below the current row; the rank is the number of pivots.
+
+def int_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """RREF over Q in primitive integer rows; returns (all rows, pivot columns).
+
+    Each pivot is the first nonzero entry at or below the current row, columns
+    scanned left to right.  Every other row is cross-multiplied with the pivot
+    row to clear the column, then divided by its content, so row i is
+    proportional to row i of the RREF and the rank is the number of pivots.
     """
-    m = [list(map(Fraction, row)) for row in rows]
+    m = [primitive(row) for row in rows]
     pivots: list[int] = []
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
         if r == len(m):
             break
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        lead = m[r][c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f:
+                m[i] = primitive([lead * a - f * b for a, b in zip(m[i], m[r])])
         pivots.append(c)
     return m, pivots
 

@@ -23,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -199,40 +199,31 @@ def two_bridge_charpoly(pres: TwoBridgePresentation) -> CharVarResult:
 
 
 # ---------------------------------------------------------------------------
-# Square-freeness of Phi: resultant test at integer points, over Q
+# Square-freeness of Phi: resultant test at integer points, over Z
 # ---------------------------------------------------------------------------
 
 
-def _uni_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _constant_gcd(f: list[int], g: list[int]) -> bool:
+    """True iff gcd(f, g) over Q is constant, by the primitive PRS over Z.
 
-
-def _uni_divmod(a: list[Fraction], b: list[Fraction]):
-    if not b:
-        raise CharVarError("univariate division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, bc in enumerate(b):
-            a[shift + i] -= f * bc
-        _uni_trim(a)
-    return q, a
-
-
-def _uni_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _uni_trim(list(a)), _uni_trim(list(b))
-    while b:
-        _, r = _uni_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+    f and g list coefficients lowest degree first, leading ones nonzero.  The
+    dividend is multiplied by lc(g) so that each step cancels its leading
+    term without division; the pseudo-remainder is divided by its content.
+    """
+    f, g = _modlin.primitive(f), _modlin.primitive(g)
+    while len(g) > 1:
+        r = f
+        while len(r) >= len(g):
+            lead, shift = r[-1], len(r) - len(g)
+            r = [g[-1] * a for a in r[:-1]]
+            for i, b in enumerate(g[:-1]):
+                r[shift + i] -= lead * b
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return False
+        f, g = g, _modlin.primitive(r)
+    return True
 
 
 def is_square_free(phi: Poly) -> bool:
@@ -250,17 +241,19 @@ def is_square_free(phi: Poly) -> bool:
     dPhi/dz(c, z)) over Q is constant.  Points c = 0, 1, 2, ... where the
     leading coefficient vanishes are skipped; the first admissible point
     with a constant gcd passes the variable, and D + 1 admissible points
-    with non-constant gcds prove the resultant identically zero.
+    with non-constant gcds prove the resultant identically zero.  Phi is
+    scaled to integer coefficients once, and each gcd runs over Z.
     """
     if phi.is_zero():
         return False
+    den = lcm(*(coeff.denominator for coeff in phi.terms.values()))
     exps = []
     for mono, coeff in phi.terms.items():
         powers = dict(mono)
         unknown = set(powers) - {T1, T12}
         if unknown:
             raise CharVarError(f"not a (t1, t2) polynomial: {unknown}")
-        exps.append(((powers.get(T1, 0), powers.get(T12, 0)), Fraction(coeff)))
+        exps.append(((powers.get(T1, 0), powers.get(T12, 0)), int(coeff * den)))
     for z in (0, 1):
         terms = [(e[z], e[1 - z], coeff) for e, coeff in exps]
         m = max(ez for ez, _, _ in terms)
@@ -269,12 +262,12 @@ def is_square_free(phi: Poly) -> bool:
         bound = (2 * m - 1) * max(eo for _, eo, _ in terms)
         failed = 0
         for c in itertools.count():
-            f = [Fraction(0)] * (m + 1)
+            f = [0] * (m + 1)
             for ez, eo, coeff in terms:
                 f[ez] += coeff * c**eo
             if not f[m]:
                 continue
-            if len(_uni_gcd(f, [k * a for k, a in enumerate(f)][1:])) == 1:
+            if _constant_gcd(f, [k * a for k, a in enumerate(f)][1:]):
                 break
             failed += 1
             if failed > bound:
@@ -450,18 +443,11 @@ def _monomial_values(mono, known: dict, base: np.ndarray, p: int) -> np.ndarray:
     return known[mono]
 
 
-def _primitive_int_vector(fracs: Sequence[Fraction]) -> list[int]:
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
+def _primitive_int_vector(fracs: Sequence[Fraction | int]) -> list[int]:
+    """The primitive integer multiple of fracs whose first nonzero entry is positive."""
+    den = lcm(*(f.denominator for f in fracs))
+    ints = _modlin.primitive([int(f * den) for f in fracs])
+    if next((v for v in ints if v), 0) < 0:
         ints = [-v for v in ints]
     return ints
 
@@ -611,10 +597,10 @@ def tangent_dim_at_trivial(basis: RelationBasis) -> TangentReport:
     chi0 = {v: 2 for v in gen_vars}
     rows = []
     for rel in basis.relations:
-        row = [Fraction(rel.derivative(v).evaluate(chi0)) for v in gen_vars]
+        row = [rel.derivative(v).evaluate(chi0) for v in gen_vars]
         if any(row):
-            rows.append(row)
-    rank = len(_modlin.fraction_rref(rows)[1])
+            rows.append(_primitive_int_vector(row))
+    rank = len(_modlin.int_rref(rows)[1])
     return TangentReport(
         basis.group_spec,
         ambient_dim=len(gen_vars),

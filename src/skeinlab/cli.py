@@ -65,8 +65,13 @@ def _mode_flag(sub: argparse.ArgumentParser, default: str = "integral") -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one `skeinlab: error:` line, as for any refusal
+        self.exit(USAGE_ERROR, f"skeinlab: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skeinlab",
         description="Exact SL2 trace canonicalization and character-variety checks.",
     )
@@ -95,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("two-bridge", help="2-bridge knot character polynomials")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--knot", choices=sorted(charvar.KNOT_PRESETS))
-    group.add_argument("--epsilons", help="comma-separated +1/-1 entries")
+    group.add_argument(
+        "--epsilons", help="comma-separated +1/-1 entries (-1 first: --epsilons=-1,1)"
+    )
     _common_flags(p)
 
     p = commands.add_parser("harvest", help="harvest relations among generators")

@@ -70,7 +70,7 @@ from operator import or_
 from typing import Generator, Mapping, Sequence
 
 from . import _modlin
-from .exactpoly import FIELD_BITS, PackedPoly, Poly, SubsetVar
+from .exactpoly import FIELD_BITS, PackedPoly, Poly, SubsetVar, normalize_coeff
 from .oracle import SL2IntMatrix, sample_sl2
 from .words import GroupWord, Letter, cyclic_key, reduce_word
 
@@ -155,18 +155,19 @@ def _monomial_value(m: RuleMonomial, traces: Mapping[tuple[int, ...], int]) -> i
 
 def _solve_exact(
     rows: list[list[int]], rhs: list[int]
-) -> list[Fraction] | None:
+) -> list[Fraction | int] | None:
     """Solve the overdetermined system rows * x = rhs over Q.
 
-    Free variables are pinned to zero.  Returns None when inconsistent.
+    Free variables are pinned to zero and integral values are ints.  Returns
+    None when inconsistent.
     """
     ncols = len(rows[0])
-    m, pivots = _modlin.fraction_rref([row + [b] for row, b in zip(rows, rhs)])
+    m, pivots = _modlin.int_rref([row + [b] for row, b in zip(rows, rhs)])
     if pivots and pivots[-1] == ncols:
         return None
-    x = [Fraction(0)] * ncols
+    x: list[Fraction | int] = [0] * ncols
     for row, col in zip(m, pivots):
-        x[col] = row[ncols]
+        x[col] = normalize_coeff(Fraction(row[ncols], row[col]))
     return x
 
 
@@ -195,11 +196,7 @@ def derive_rule_k4(oracle_seed: int = 0) -> RuleK4:
         if sol is None:
             last_error = f"inconsistent system at weight bound {bound}"
             continue
-        coeffs = tuple(
-            (m, c if isinstance(c, int) else (int(c) if c.denominator == 1 else c))
-            for m, c in zip(cands, sol)
-            if c != 0
-        )
+        coeffs = tuple((m, c) for m, c in zip(cands, sol) if c)
         rule = RuleK4(coefficients=coeffs, weight_bound=bound, seed=oracle_seed)
         residuals = verify_rule_k4(rule, count=100, rng=rng)
         if all(r == 0 for r in residuals):

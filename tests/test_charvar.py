@@ -10,6 +10,7 @@ from skeinlab.charvar import (
     TwoBridgeDivisionError,
     TwoBridgePresentation,
     _certified_zero,
+    _constant_gcd,
     abelian_divisor,
     check_harvest_size,
     check_x_z2_identity,
@@ -171,13 +172,71 @@ def test_square_free_detector():
     for var in (T1, T12):
         assert is_square_free((v(var) - 2) * (v(var) + 1))
         assert not is_square_free((v(var) - 2) * (v(var) - 2) * (v(var) + 1))
+    # Rational coefficients are scaled to integers before any gcd.
+    half = Poly.const(Fraction(1, 2))
+    assert not is_square_free((v(T12) - half) * (v(T12) - half) * (v(T1) + 1))
+    assert is_square_free((v(T12) - half) * (v(T1) + 1))
+    assert is_square_free(half * v(T1) * v(T12) - Fraction(1, 3))
     t1_minus_5 = v(T1) - 5
-    for length in range(1, 6):
+    for length in range(1, 8):
         for rest in itertools.product((1, -1), repeat=length - 1):
             phi = two_bridge_charpoly(TwoBridgePresentation((1,) + rest)).Phi
             assert is_square_free(phi)
             assert not is_square_free(phi * phi)
             assert not is_square_free(phi * t1_minus_5 * t1_minus_5)
+
+
+def _reference_uni_gcd(a, b):
+    """Monic gcd over Q of coefficient lists (lowest degree first) by Euclid."""
+
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a, b = trim(list(map(Fraction, a))), trim(list(map(Fraction, b)))
+    while b:
+        while len(a) >= len(b) and a:
+            f = a[-1] / b[-1]
+            shift = len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] -= f * bc
+            trim(a)
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
+def _uni_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _random_uni(rng, degree):
+    return [rng.randint(-6, 6) for _ in range(degree)] + [rng.choice((-3, -2, -1, 1, 2, 5))]
+
+
+def test_constant_gcd_matches_fraction_euclid():
+    rng = random.Random(17)
+    verdicts = set()
+    for trial in range(400):
+        shape = trial % 4
+        f, g = _random_uni(rng, rng.randint(0, 6)), _random_uni(rng, rng.randint(0, 6))
+        if shape == 1:  # a common factor
+            h = _random_uni(rng, rng.randint(1, 3))
+            f, g = _uni_mul(f, h), _uni_mul(g, h)
+        elif shape >= 2:  # f has a square factor; g is f' or a multiple of it
+            h = _random_uni(rng, rng.randint(1, 3))
+            f = _uni_mul(_uni_mul(h, h), f) if shape == 2 else _uni_mul(h, f)
+            g = [k * c for k, c in enumerate(f)][1:] or [1]
+            if shape == 3:
+                g = _uni_mul(g, _random_uni(rng, rng.randint(0, 2)))
+        want = len(_reference_uni_gcd(f, g)) == 1
+        assert _constant_gcd(f, g) == want, (f, g)
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_x_z2_identity():

@@ -169,6 +169,42 @@ def test_harvest_tangent_file_round_trip(capsys, tmp_path):
     }
 
 
+def _relation(*terms):
+    return {
+        "terms": [
+            {"coeff": c, "monomial": [{"var": v, "power": e} for v, e in mono]}
+            for c, mono in terms
+        ]
+    }
+
+
+def test_tangent_rational_relation_matches_its_double(capsys, tmp_path):
+    # Gradient at chi_0: (2, 1/2, -3/4), and twice that for the double.
+    half = _relation(
+        ("1/2", [("u1", 2)]),
+        ("1/2", [("u2", 1)]),
+        ("-3/4", [("v[1,2]", 1)]),
+        ("-1/4", []),
+    )
+    double = _relation(
+        ("1", [("u1", 2)]),
+        ("1", [("u2", 1)]),
+        ("-3/2", [("v[1,2]", 1)]),
+        ("-1/2", []),
+    )
+    reports = []
+    for relations in ([half], [double], [half, double]):
+        path = tmp_path / "harvest.json"
+        blob = {"group": "abelian:2", "degree_bound": 2, "relations": relations}
+        path.write_text(json.dumps(blob))
+        code, out, err = invoke(capsys, ["tangent", "--from", str(path)])
+        assert code == 0, err
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["jacobian_rank_at_chi0"] == 1
+    assert reports[0]["tangent_dim"] == 2
+
+
 def test_tangent_missing_file(capsys):
     code, _, err = invoke(capsys, ["tangent", "--from", "/nonexistent.json"])
     assert code == 2
@@ -354,6 +390,8 @@ _EDGE_CASES = [
     (["two-bridge", "--epsilons", "1,2"], 2),
     (["two-bridge", "--epsilons", "x"], 2),
     (["two-bridge", "--epsilons", "+1,-1"], 0),
+    (["two-bridge", "--epsilons=-1,1"], 0),
+    (["two-bridge", "--epsilons", "-1,1"], 2),
 ]
 
 

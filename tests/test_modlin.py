@@ -2,6 +2,8 @@
 
 import itertools
 import random
+from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -32,6 +34,28 @@ def reference_rref(rows, p):
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m[: len(pivots)], pivots
+
+
+def reference_fraction_rref(rows):
+    """Textbook Gauss-Jordan over Q on Fractions; returns (all rows, pivots)."""
+    m = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
 
 
 def random_matrix(rng, rows, cols, rank, p):
@@ -174,3 +198,56 @@ def test_nullspace_without_fold_back():
     basis, pivots = _modlin.nullspace_mod_p(matrix, P)
     assert basis.shape == (30, 8)
     assert not _modlin.matmul_mod_p(matrix, basis, P).any()
+
+
+def random_int_matrix(rng, rows, cols, rank):
+    """A rows x cols integer matrix of rank at most `rank`, as lists."""
+    left = [[rng.randint(-9, 9) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rank)]
+    return [
+        [sum(row[k] * right[k][j] for k in range(rank)) for j in range(cols)]
+        for row in left
+    ]
+
+
+def test_primitive_divides_by_the_content():
+    assert _modlin.primitive([6, -4, 0, 10]) == [3, -2, 0, 5]
+    assert _modlin.primitive([-7]) == [-1]
+    assert _modlin.primitive([3, 5]) == [3, 5]
+    assert _modlin.primitive([0, 0]) == [0, 0]
+    assert _modlin.primitive([]) == []
+
+
+@pytest.mark.parametrize(
+    "rows, cols, rank",
+    [
+        (0, 5, 0),
+        (5, 0, 0),
+        (5, 6, 0),  # rank 0
+        (3, 3, 3),
+        (12, 4, 3),  # tall
+        (4, 12, 4),  # wide
+        (9, 9, 5),
+        (20, 17, 11),
+    ],
+)
+def test_int_rref_matches_fraction_reference(rows, cols, rank):
+    rng = random.Random(rows * 1000 + cols * 10 + rank)
+    for trial in range(5):
+        m = random_int_matrix(rng, rows, cols, rank)
+        if trial % 2 and m:
+            m = m + [list(m[rng.randrange(len(m))]) for _ in range(3)]  # duplicates
+            rng.shuffle(m)
+        got, pivots = _modlin.int_rref(m)
+        want, want_pivots = reference_fraction_rref(m)
+        assert pivots == want_pivots
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert all(type(x) is int for x in g)
+            assert gcd(*g) in (0, 1)
+            lead = next((k for k, x in enumerate(w) if x), None)
+            if lead is None:
+                assert not any(g)
+            else:
+                ratio = Fraction(g[lead]) / w[lead]
+                assert ratio and [ratio * x for x in w] == g

@@ -1,4 +1,4 @@
-from skeinlab.trace_engine import derive_rule_k4, verify_rule_k4
+from skeinlab.trace_engine import RuleK4, derive_rule_k4, verify_rule_k4
 
 
 def test_bootstrap_succeeds_at_small_weight():
@@ -49,3 +49,29 @@ def test_different_seeds_agree_semantically():
     for seed in (0, 99):
         rule = derive_rule_k4(seed)
         assert verify_rule_k4(rule, count=50, seed=1234) == [0] * 50
+
+
+def test_seed_zero_rule_is_pinned():
+    # The classical four-matrix trace identity, in the solver's term order.
+    # A solver that settles on another representative of the solution space
+    # fails here before any caller sees the difference.
+    def t(*subset):
+        return (subset, 1)
+
+    want = (
+        ((t(1), t(2), t(3), t(4)), 1),
+        ((t(1), t(2), t(3, 4)), -1),
+        ((t(1), t(2, 3, 4)), 1),
+        ((t(1), t(4), t(2, 3)), -1),
+        ((t(1, 2), t(3, 4)), 1),
+        ((t(1, 3), t(2, 4)), -1),
+        ((t(1, 4), t(2, 3)), 1),
+        ((t(2), t(1, 3, 4)), 1),
+        ((t(2), t(3), t(1, 4)), -1),
+        ((t(3), t(1, 2, 4)), 1),
+        ((t(3), t(4), t(1, 2)), -1),
+        ((t(4), t(1, 2, 3)), 1),
+    )
+    rule = derive_rule_k4(0)
+    assert rule == RuleK4(coefficients=want, weight_bound=4, seed=0)
+    assert [type(c) for _, c in rule.coefficients] == [int] * len(want)
