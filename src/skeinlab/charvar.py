@@ -1,11 +1,13 @@
 """Character-variety computations at desk scale.
 
-Three consumers of the trace engine live here:
+Three computations live here:
 
 * the 2-bridge knot pipeline: for G = <a,b | wa = bw> the difference
   P_w - P_{bwa^-1}, with [b] identified to [a], factors exactly as
   (t1^2 - t2 - 2) * Phi(t1, t2) where t1 = tr(a), t2 = tr(ab); the division
-  must be exact and aborts loudly otherwise;
+  must be exact and aborts loudly otherwise.  The numerator is one pass over
+  the letters of w in the Cayley-Hamilton basis (I, A, B, AB) of the rank-2
+  trace algebra (Riley 1984), not a run of the rewriting engine;
 
 * relation harvesting: the polynomial relations among the canonical
   generators, found as the nullspace of an exact evaluation matrix over
@@ -23,14 +25,15 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Sequence
 
 import numpy as np
 
-from . import _modlin, trace_engine
+from . import _modlin
 from .exactpoly import (
     Coeff,
+    PackedPoly,
     Poly,
     SubsetVar,
     poly_divide,
@@ -52,7 +55,7 @@ class TwoBridgeDivisionError(CharVarError):
     """The numerator failed exact division by t1^2 - t2 - 2.
 
     This means the input is not a valid 2-bridge epsilon vector, or the
-    engine produced a wrong polynomial; either way it must not be ignored.
+    numerator is wrong; either way it must not be ignored.
     """
 
 
@@ -61,13 +64,17 @@ class HarvestError(CharVarError):
 
 
 T1 = SubsetVar((1,))
-T2_GEN = SubsetVar((2,))
 T12 = SubsetVar((1, 2))
 
 KNOT_PRESETS = {
     "trefoil": (1,),
     "fig8": (1, -1),
 }
+
+
+# Longest accepted epsilon vector: the slowest lists of this length take
+# about 10 s end to end (README), and the cost grows as the cube of the length.
+TWO_BRIDGE_MAX_LENGTH = 192
 
 
 @dataclass(frozen=True)
@@ -79,6 +86,11 @@ class TwoBridgePresentation:
     def __post_init__(self) -> None:
         if not self.epsilons:
             raise CharVarError("epsilon vector must be nonempty")
+        if len(self.epsilons) > TWO_BRIDGE_MAX_LENGTH:
+            raise CharVarError(
+                f"epsilon vector of length {len(self.epsilons)} exceeds the"
+                f" cap of {TWO_BRIDGE_MAX_LENGTH}"
+            )
         if any(e not in (-1, 1) for e in self.epsilons):
             raise CharVarError(f"epsilons must be +-1: {self.epsilons}")
 
@@ -93,13 +105,9 @@ class TwoBridgePresentation:
 
     def relator_word(self, swap_roles: bool = False) -> GroupWord:
         a_idx, b_idx = (2, 1) if swap_roles else (1, 2)
-        eps = self.epsilons
-        n = len(eps)
-        pairs = []
-        for i in range(n):
-            pairs.append((a_idx, eps[i]))
-            pairs.append((b_idx, eps[n - 1 - i]))
-        return reduce_word(pairs, 2)
+        a_letters = [(a_idx, e) for e in self.epsilons]
+        b_letters = [(b_idx, e) for e in reversed(self.epsilons)]
+        return reduce_word([l for ab in zip(a_letters, b_letters) for l in ab], 2)
 
 
 @dataclass(frozen=True)
@@ -126,9 +134,57 @@ class CharVarResult:
 
 def abelian_divisor() -> Poly:
     """t1^2 - t2 - 2, the factor carrying the abelian characters."""
-    return (
-        Poly.variable(T1) * Poly.variable(T1) - Poly.variable(T12) - Poly.const(2)
-    )
+    return Poly.variable(T1) * Poly.variable(T1) - Poly.variable(T12) - 2
+
+
+# A word W in A, B is p0*I + p1*A + p2*B + p3*AB with each p_i in Z[x, z],
+# x = tr A = tr B, z = tr AB (Cayley-Hamilton; Riley 1984), held as int dicts
+# on PackedPoly keys: an exponent is at most the word length, which the length
+# cap keeps below 2^FIELD_BITS.  Row i of a letter's rule lists the (j, m, c)
+# whose c * m * p_j sum to component i of W*letter:
+#   W*A = (-p1 + (z - x^2)p2 - x*p3) I + (p0 + x*p1 + x*p2 + z*p3) A
+#         + (x*p2 + p3) B - p2 AB,    W*A^-1 = x*W - W*A,
+#   W*B = -p2 I - p3 A + (p0 + x*p2) B + (p1 + x*p3) AB,    W*B^-1 = x*W - W*B.
+_X, _Z = 1 << T1._shift, 1 << T12._shift
+_LETTER_RULES = {
+    (1, 1): (((1, 0, -1), (2, _Z, 1), (2, 2 * _X, -1), (3, _X, -1)),
+             ((0, 0, 1), (1, _X, 1), (2, _X, 1), (3, _Z, 1)),
+             ((2, _X, 1), (3, 0, 1)),
+             ((2, 0, -1),)),
+    (1, -1): (((0, _X, 1), (1, 0, 1), (2, 2 * _X, 1), (2, _Z, -1), (3, _X, 1)),
+              ((0, 0, -1), (2, _X, -1), (3, _Z, -1)),
+              ((3, 0, -1),),
+              ((2, 0, 1), (3, _X, 1))),
+    (2, 1): (((2, 0, -1),), ((3, 0, -1),),
+             ((0, 0, 1), (2, _X, 1)), ((1, 0, 1), (3, _X, 1))),
+    (2, -1): (((0, _X, 1), (2, 0, 1)), ((1, _X, 1), (3, 0, 1)),
+              ((0, 0, -1),), ((1, 0, -1),)),
+}
+# tr W = 2*p0 + x*p1 + y*p2 + z*p3, with y = x.
+_TRACE_ROW = ((0, 0, 2), (1, _X, 1), (2, _X, 1), (3, _Z, 1))
+
+
+def _combine(p: Sequence[dict], row) -> dict:
+    """The sum of c * m * p[j] over the (j, m, c) of row, zero terms dropped."""
+    (j, m, c), *rest = row
+    out = {k + m: c * v for k, v in p[j].items()}
+    get = out.get
+    for j, m, c in rest:
+        for k, v in p[j].items():
+            k += m
+            s = get(k, 0) + c * v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _times_letters(p: tuple, letters) -> tuple:
+    """p times the (index, +-1) letters, in order."""
+    for letter in letters:
+        p = tuple(_combine(p, row) for row in _LETTER_RULES[letter])
+    return p
 
 
 def two_bridge_numerator(
@@ -136,40 +192,27 @@ def two_bridge_numerator(
 ) -> Poly:
     """P_w - P_{bwa^-1} with [b] := [a], in the variables t1, t2 = tr(ab).
 
-    With swap_roles the computation runs with a and b exchanged and the
-    result is mapped back to the same two variables; up to sign it must
-    agree with the unswapped numerator.
+    tr(b w a^-1) = tr(w a^-1 b) continues from the basis components of w.
+    With swap_roles a and b exchange generators; since tr a = tr b the
+    numerator is the same.
     """
     a_idx, b_idx = (2, 1) if swap_roles else (1, 2)
-    w = pres.relator_word(swap_roles)
-    bwa = reduce_word(
-        [(b_idx, 1)] + [(l.index, l.exponent) for l in w.letters] + [(a_idx, -1)], 2
-    )
-    p_w = trace_engine.reduce_trace(w, ReductionMode.INTEGRAL)
-    p_bwa = trace_engine.reduce_trace(bwa, ReductionMode.INTEGRAL)
-    a_var = SubsetVar((a_idx,))
-    b_var = SubsetVar((b_idx,))
-    numerator = (p_w - p_bwa).substitute({b_var: Poly.variable(a_var)})
-    if swap_roles:
-        numerator = numerator.map_variables(lambda v: T1 if v == T2_GEN else v)
-    return numerator
+    letters = [(l.index, l.exponent) for l in pres.relator_word(swap_roles).letters]
+    w = _times_letters(({0: 1}, {}, {}, {}), letters)
+    wab = _times_letters(w, [(a_idx, -1), (b_idx, 1)])
+    traces = (_combine(w, _TRACE_ROW), _combine(wab, _TRACE_ROW))
+    diff = _combine(traces, ((0, 0, 1), (1, 0, -1)))
+    return Poly._raw({PackedPoly.unpack(k, SubsetVar): c for k, c in diff.items()})
 
 
 def _phi_leading_coeff(phi: Poly) -> Coeff:
     """Leading coefficient under graded-lex with t2 preceding t1."""
-    best = None
-    best_key = None
-    for mono, coeff in phi.terms.items():
-        exps = dict(mono)
-        key = (
-            sum(e for _, e in mono),
-            exps.get(T12, 0),
-            exps.get(T1, 0),
-        )
-        if best_key is None or key > best_key:
-            best_key = key
-            best = coeff
-    return best if best is not None else 0
+
+    def key(term) -> tuple:
+        exps = dict(term[0])
+        return sum(exps.values()), exps.get(T12, 0), exps.get(T1, 0)
+
+    return max(phi.terms.items(), key=key, default=((), 0))[1]
 
 
 def two_bridge_charpoly(pres: TwoBridgePresentation) -> CharVarResult:
@@ -181,12 +224,8 @@ def two_bridge_charpoly(pres: TwoBridgePresentation) -> CharVarResult:
     """
     numerator = two_bridge_numerator(pres)
     divisor = abelian_divisor()
-    # Cheap order-independent divisibility test: t2 := t1^2 - 2 must kill it.
-    residual = numerator.substitute(
-        {T12: Poly.variable(T1) * Poly.variable(T1) - Poly.const(2)}
-    )
     quotient, remainder = poly_divide(numerator, divisor, var_order=[T12, T1])
-    if not residual.is_zero() or not remainder.is_zero():
+    if not remainder.is_zero():
         raise TwoBridgeDivisionError(
             f"numerator for epsilons={pres.epsilons} is not divisible by"
             f" t1^2 - t2 - 2; remainder {poly_pretty(remainder)}"
@@ -338,18 +377,10 @@ def check_harvest_size(
 
 def monomial_exponents(nvars: int, degree_bound: int) -> list[tuple[int, ...]]:
     """All exponent vectors with total degree <= bound, in a deterministic order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, left: int, acc: list[int]):
-        if pos == nvars:
-            out.append(tuple(acc))
-            return
-        for e in range(left + 1):
-            rec(pos + 1, left - e, acc + [e])
-
-    rec(0, degree_bound, [])
-    out.sort(key=lambda t: (sum(t), t))
-    return out
+    # A multiset of degree_bound indices, index nvars being slack, is a monomial.
+    combos = itertools.combinations_with_replacement(range(nvars + 1), degree_bound)
+    out = [tuple(map(combo.count, range(nvars))) for combo in combos]
+    return sorted(out, key=lambda t: (sum(t), t))
 
 
 @dataclass
@@ -397,18 +428,12 @@ def _sample_generator_values(
     if kind == "free":
         rep = sample_representation(rng, n, walk_length=5)
         return [eval_word(subset_word(v.subset, n), rep).trace for v in gen_vars]
-    lams = []
-    for _ in range(n):
-        num = rng.randint(1, 9) * rng.choice((-1, 1))
-        den = rng.randint(1, 9)
-        lams.append(Fraction(num, den))
-    values = []
-    for v in gen_vars:
-        prod = Fraction(1)
-        for i in v.indices:
-            prod *= lams[i - 1]
-        values.append(prod + 1 / prod)
-    return values
+    lams = [
+        Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
+        for _ in range(n)
+    ]
+    prods = [prod(lams[i - 1] for i in v.indices) for v in gen_vars]
+    return [x + 1 / x for x in prods]
 
 
 def _values_mod_p(values: np.ndarray | list, p: int) -> np.ndarray:
@@ -574,21 +599,6 @@ def _vector_to_poly(vec: Sequence[int], monos, gen_vars) -> Poly:
         )
         terms[key] = coeff
     return Poly(terms)
-
-
-def verify_relations_on_fresh_samples(
-    basis: RelationBasis, count: int = 50, seed: int = 987
-) -> bool:
-    """Re-verify a harvested basis on newly sampled representations, exactly."""
-    gen_vars = generator_vars(basis.group_spec)
-    rng = random.Random(f"skeinlab-verify-{basis.group_spec}-{seed}")
-    for _ in range(count):
-        values = _sample_generator_values(basis.group_spec, gen_vars, rng)
-        assignment = dict(zip(gen_vars, values))
-        for rel in basis.relations:
-            if rel.evaluate(assignment) != 0:
-                return False
-    return True
 
 
 def tangent_dim_at_trivial(basis: RelationBasis) -> TangentReport:

@@ -101,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--knot", choices=sorted(charvar.KNOT_PRESETS))
     group.add_argument(
-        "--epsilons", help="comma-separated +1/-1 entries (-1 first: --epsilons=-1,1)"
+        "--epsilons",
+        help=f"comma-separated +1/-1 entries, at most {charvar.TWO_BRIDGE_MAX_LENGTH}"
+        " (-1 first: --epsilons=-1,1)",
     )
     _common_flags(p)
 

@@ -12,6 +12,7 @@ of the ring operations (_SparsePoly).
 
 from __future__ import annotations
 
+import heapq
 import operator
 from fractions import Fraction
 from itertools import chain
@@ -384,22 +385,6 @@ class Poly(_SparsePoly):
             total = total + val
         return normalize_coeff(total)
 
-    def substitute(self, mapping: Mapping) -> "Poly":
-        """Replace each mapped variable by a polynomial (or constant)."""
-        pieces = []
-        for m, c in self.terms.items():
-            term = Poly.const(c)
-            for v, e in m:
-                if v in mapping:
-                    image = mapping[v]
-                    if not isinstance(image, Poly):
-                        image = Poly.const(image)
-                    term = term * image**e
-                else:
-                    term = term * Poly._raw({((v, e),): 1})
-            pieces.append(term)
-        return Poly.sum(pieces)
-
     def derivative(self, var) -> "Poly":
         pieces = []
         for m, c in self.terms.items():
@@ -423,11 +408,12 @@ class Poly(_SparsePoly):
 
 
 def _lex_key(m: Monomial, order_pos: Mapping) -> tuple:
+    """The negated dense exponents of m, so that the largest term sorts first."""
     dense = [0] * len(order_pos)
     for v, e in m:
         if v not in order_pos:
             raise PolyDivisionError(f"variable {v} not in division order")
-        dense[order_pos[v]] = e
+        dense[order_pos[v]] = -e
     return tuple(dense)
 
 
@@ -437,41 +423,43 @@ def poly_divide(p: Poly, d: Poly, var_order: Sequence) -> tuple[Poly, Poly]:
     var_order lists the variables from most to least significant and must
     cover every variable of p and d.  Returns (quotient, remainder) with
     p = quotient*d + remainder and no remainder term divisible by the
-    leading monomial of d.
+    leading monomial of d.  One pass: each pending term is held once in a
+    dict, its key also on a heap; the leading term either gives a quotient
+    term, whose multiple of d's tail is subtracted, or moves to the
+    remainder.  The keys it adds are smaller, so a popped key never returns.
     """
     if d.is_zero():
         raise PolyDivisionError("division by the zero polynomial")
     order_pos = {v: i for i, v in enumerate(var_order)}
-    d_terms = sorted(d.terms.items(), key=lambda t: _lex_key(t[0], order_pos), reverse=True)
-    lt_mono, lt_coeff = d_terms[0]
-    lt_exp = dict(lt_mono)
+    d_terms = ((_lex_key(m, order_pos), c) for m, c in d.terms.items())
+    (lead, lt_coeff), *tail = sorted(d_terms)
+    inverse = normalize_coeff(1 / Fraction(lt_coeff))
+    pending = {_lex_key(m, order_pos): c for m, c in p.terms.items()}
+    heap = list(pending)
+    heapq.heapify(heap)
+    by_var = sorted(range(len(var_order)), key=lambda i: var_order[i].sort_key)
 
-    quotient = Poly.zero()
-    remainder = Poly.zero()
-    rest = p
-    while not rest.is_zero():
-        terms = sorted(
-            rest.terms.items(), key=lambda t: _lex_key(t[0], order_pos), reverse=True
-        )
-        mono, coeff = terms[0]
-        exp = dict(mono)
-        if all(exp.get(v, 0) >= e for v, e in lt_exp.items()):
-            qexp = {v: e - lt_exp.get(v, 0) for v, e in exp.items()}
-            qm = tuple(
-                sorted(
-                    ((v, e) for v, e in qexp.items() if e > 0),
-                    key=lambda t: t[0].sort_key,
-                )
-            )
-            qc = normalize_coeff(Fraction(coeff) / Fraction(lt_coeff))
-            qpoly = Poly._raw({qm: qc})
-            quotient = quotient + qpoly
-            rest = rest - qpoly * d
-        else:
-            tpoly = Poly._raw({mono: coeff})
-            remainder = remainder + tpoly
-            rest = rest - tpoly
-    return quotient, remainder
+    def mono(k: tuple) -> Monomial:
+        return tuple((var_order[i], -k[i]) for i in by_var if k[i])
+
+    quotient: dict[Monomial, Coeff] = {}
+    remainder: dict[Monomial, Coeff] = {}
+    while heap:
+        k = heapq.heappop(heap)
+        coeff = pending.pop(k)
+        if not coeff:
+            continue
+        q = tuple(map(operator.sub, k, lead))
+        if max(q, default=0) > 0:
+            remainder[mono(k)] = coeff
+            continue
+        qc = quotient[mono(q)] = normalize_coeff(coeff * inverse)
+        for t, tc in tail:
+            key = tuple(map(operator.add, q, t))
+            if key not in pending:
+                heapq.heappush(heap, key)
+            pending[key] = normalize_coeff(pending.get(key, 0) - qc * tc)
+    return Poly._raw(quotient), Poly._raw(remainder)
 
 
 class LaurentPoly(_SparsePoly):

@@ -11,6 +11,7 @@ from skeinlab.charvar import (
     TwoBridgePresentation,
     _certified_zero,
     _constant_gcd,
+    _sample_generator_values,
     abelian_divisor,
     check_harvest_size,
     check_x_z2_identity,
@@ -23,14 +24,13 @@ from skeinlab.charvar import (
     tangent_dim_at_trivial,
     two_bridge_charpoly,
     two_bridge_numerator,
-    verify_relations_on_fresh_samples,
     x_z2_relation_poly,
 )
-from skeinlab.exactpoly import LaurentPoly, Poly, SubsetVar
+from skeinlab.exactpoly import LaurentPoly, Poly, SubsetVar, poly_divide
 from skeinlab.oracle import Representation, eval_word, sample_sl2
 from skeinlab.selftest import _frac_mat_mul, trefoil_rational_representation
 from skeinlab.skein import SkeinElement, to_laurent
-from skeinlab.trace_engine import ReductionMode
+from skeinlab.trace_engine import ReductionMode, reduce_trace
 from skeinlab.words import reduce_word
 
 T1 = SubsetVar((1,))
@@ -68,8 +68,9 @@ def test_trefoil_charpoly():
     assert res.phi_at_22 == 1
     assert res.Phi.total_degree() == 1
     assert is_square_free(res.Phi)
-    # Zero set contains the whole t2 = 1 line.
-    assert res.Phi.substitute({T12: Poly.const(1)}).is_zero()
+    # Zero set contains the whole t2 = 1 line: t2 - 1 divides Phi exactly.
+    _, off_line = poly_divide(res.Phi, v(T12) - 1, [T12, T1])
+    assert off_line.is_zero()
 
 
 def test_trefoil_explicit_rational_representations():
@@ -103,19 +104,68 @@ def test_fig8_charpoly():
     assert is_square_free(res.Phi)
 
 
+def _bwa_word(pres, swap_roles=False):
+    a_idx, b_idx = (2, 1) if swap_roles else (1, 2)
+    w = pres.relator_word(swap_roles)
+    return reduce_word(
+        [(b_idx, 1)] + [(l.index, l.exponent) for l in w.letters] + [(a_idx, -1)], 2
+    )
+
+
+def _engine_numerator(pres, swap_roles=False):
+    """The numerator by the general trace engine: both traces reduced over Z,
+    then tr(b) := tr(a), so that both generator traces become t1."""
+    diff = reduce_trace(pres.relator_word(swap_roles), ReductionMode.INTEGRAL)
+    diff -= reduce_trace(_bwa_word(pres, swap_roles), ReductionMode.INTEGRAL)
+    return Poly.sum(
+        Poly({tuple((T1 if len(var.subset) == 1 else var, e) for var, e in m): c})
+        for m, c in diff.terms.items()
+    )
+
+
+def _random_epsilons(rng, length):
+    return tuple(rng.choice((1, -1)) for _ in range(length))
+
+
+def test_numerator_matches_engine_reference():
+    # Every list of length <= 5, then seeded random lists of length 6..12.
+    rng = random.Random(12)
+    lists = [
+        eps for length in range(1, 6) for eps in itertools.product((1, -1), repeat=length)
+    ]
+    lists += [_random_epsilons(rng, length) for length in range(6, 13) for _ in range(3)]
+    for eps in lists:
+        pres = TwoBridgePresentation(eps)
+        for swap_roles in (False, True):
+            assert two_bridge_numerator(pres, swap_roles) == _engine_numerator(
+                pres, swap_roles
+            ), (eps, swap_roles)
+
+
+def test_torus_knots_match_closed_form():
+    # The all-ones list of length k presents T(2, 2k + 1), whose Phi is
+    # S_k(t2) - S_(k-1)(t2) with S_0 = 1, S_1 = t2, S_k = t2*S_(k-1) - S_(k-2).
+    s_prev, s_cur = Poly.const(1), v(T12)
+    for k in range(1, 65):
+        phi = two_bridge_charpoly(TwoBridgePresentation((1,) * k)).Phi
+        assert phi == s_cur - s_prev or phi == s_prev - s_cur, k
+        s_prev, s_cur = s_cur, v(T12) * s_cur - s_prev
+
+
 def test_numerator_matches_matrix_oracle():
-    # The substituted numerator evaluated at (tr a, tr ab) must equal
-    # tr(w) - tr(b w a^-1) for every representation with tr(a) = tr(b);
-    # conjugate images give exactly these.
-    rng = random.Random(40)
-    for name in ("trefoil", "fig8"):
-        pres = TwoBridgePresentation.preset(name)
+    # The numerator evaluated at (tr a, tr ab) must equal tr(w) - tr(b w a^-1)
+    # for every representation with tr(a) = tr(b); conjugate images give
+    # exactly these.
+    rng, lists_rng = random.Random(40), random.Random(41)
+    presentations = [TwoBridgePresentation.preset(n) for n in ("trefoil", "fig8")]
+    presentations += [
+        TwoBridgePresentation(_random_epsilons(lists_rng, length))
+        for length in (3, 8, 16, 24, 32, 40)
+    ]
+    for pres in presentations:
         numerator = two_bridge_numerator(pres)
-        w = pres.relator_word()
-        bwa = reduce_word(
-            [(2, 1)] + [(l.index, l.exponent) for l in w.letters] + [(1, -1)], 2
-        )
-        for _ in range(50):
+        w, bwa = pres.relator_word(), _bwa_word(pres)
+        for _ in range(50 if len(pres.epsilons) <= 2 else 8):
             m = sample_sl2(rng, 6)
             conj = sample_sl2(rng, 6)
             images = (m, conj * m * conj.inverse())
@@ -265,6 +315,18 @@ def test_parse_group_spec():
     for bad in ("free", "ring:2", "free:0", "free:x"):
         with pytest.raises(CharVarError):
             parse_group_spec(bad)
+
+
+def verify_relations_on_fresh_samples(basis, count=50, seed=987):
+    """Re-verify a harvested basis on newly sampled representations, exactly."""
+    gen_vars = generator_vars(basis.group_spec)
+    rng = random.Random(f"skeinlab-verify-{basis.group_spec}-{seed}")
+    for _ in range(count):
+        values = _sample_generator_values(basis.group_spec, gen_vars, rng)
+        assignment = dict(zip(gen_vars, values))
+        if any(rel.evaluate(assignment) != 0 for rel in basis.relations):
+            return False
+    return True
 
 
 def test_harvest_abelian_2_degree_3_is_the_x_z2_relation():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import skeinlab
+from skeinlab.charvar import TWO_BRIDGE_MAX_LENGTH
 from skeinlab.cli import run
 from skeinlab.exactpoly import poly_from_dict, poly_pretty
 
@@ -392,6 +393,8 @@ _EDGE_CASES = [
     (["two-bridge", "--epsilons", "+1,-1"], 0),
     (["two-bridge", "--epsilons=-1,1"], 0),
     (["two-bridge", "--epsilons", "-1,1"], 2),
+    (["two-bridge", "--epsilons", ",".join(["1", "1", "-1", "-1"] * 16)], 0),
+    (["two-bridge", "--epsilons", ",".join(["1"] * (TWO_BRIDGE_MAX_LENGTH + 1))], 2),
 ]
 
 

@@ -108,6 +108,70 @@ def test_divide_random_identity():
         assert q * d + r == p
 
 
+def _reference_divide(p, d, var_order):
+    """Division that re-sorts the whole remainder at every step."""
+    order_pos = {var: i for i, var in enumerate(var_order)}
+
+    def lex_key(item):
+        dense = [0] * len(order_pos)
+        for var, e in item[0]:
+            dense[order_pos[var]] = e
+        return tuple(dense)
+
+    lt_mono, lt_coeff = sorted(d.terms.items(), key=lex_key, reverse=True)[0]
+    lt_exp = dict(lt_mono)
+    quotient, remainder, rest = Poly.zero(), Poly.zero(), p
+    while not rest.is_zero():
+        mono, coeff = sorted(rest.terms.items(), key=lex_key, reverse=True)[0]
+        exp = dict(mono)
+        if all(exp.get(var, 0) >= e for var, e in lt_exp.items()):
+            qexp = {var: e - lt_exp.get(var, 0) for var, e in exp.items()}
+            pairs = [(var, e) for var, e in qexp.items() if e > 0]
+            qm = tuple(sorted(pairs, key=lambda t: t[0].sort_key))
+            qpoly = Poly({qm: Fraction(coeff) / Fraction(lt_coeff)})
+            quotient = quotient + qpoly
+            rest = rest - qpoly * d
+        else:
+            tpoly = Poly({mono: coeff})
+            remainder = remainder + tpoly
+            rest = rest - tpoly
+    return quotient, remainder
+
+
+def test_divide_matches_reference():
+    rng = random.Random(17)
+    variables = [T1, T2, T12]
+    coeffs = [1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)]
+
+    def random_poly(terms, degree):
+        p = Poly.zero()
+        for _ in range(terms):
+            mono = tuple((var, e) for var in variables if (e := rng.randint(0, degree)))
+            p = p + Poly({mono: rng.choice(coeffs)})
+        return p
+
+    exact = nonzero_remainders = 0
+    for trial in range(300):
+        order = rng.sample(variables, 3)
+        d = random_poly(rng.randint(1, 4), 2)
+        if d.is_zero():
+            continue
+        p = random_poly(rng.randint(0, 12), 4)
+        if trial % 3 == 0:
+            p = p * d  # exact division, remainder zero
+        q, r = poly_divide(p, d, order)
+        q_ref, r_ref = _reference_divide(p, d, order)
+        # The same terms, in the same order, with integral coefficients as ints.
+        assert list(q.terms.items()) == list(q_ref.terms.items())
+        assert list(r.terms.items()) == list(r_ref.terms.items())
+        for c in [*q.terms.values(), *r.terms.values()]:
+            assert type(c) is int or c.denominator > 1
+        assert q * d + r == p
+        exact += r.is_zero()
+        nonzero_remainders += not r.is_zero()
+    assert exact > 50 and nonzero_remainders > 50
+
+
 def test_evaluate_examples():
     d = v(T1) * v(T1) - v(T12) - 2
     assert d.evaluate({T1: 2, T12: 2}) == 0
