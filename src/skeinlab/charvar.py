@@ -41,10 +41,10 @@ from .exactpoly import (
     poly_pretty,
     poly_to_dict,
 )
-from .oracle import eval_word, sample_representation
+from .oracle import SL2IntMatrix, sample_representation
 from .skein import AbelianVar, SkeinElement, parse_abelian_var, to_laurent
 from .trace_engine import ReductionMode, skein_basis_vars
-from .words import GroupWord, reduce_word, subset_word
+from .words import GroupWord, reduce_word
 
 
 class CharVarError(ValueError):
@@ -423,34 +423,37 @@ class TangentReport:
 
 def _sample_generator_values(
     spec: GroupSpec, gen_vars: Sequence, rng: random.Random
-) -> list[Fraction | int]:
+) -> list[int]:
+    """One sample as an integer row [h, a_1, ..., a_k]: generator i is a_i / h.
+
+    h = 1 for free groups.  For abelian groups h is the lcm of denominators
+    whose primes are at most 7, so h is a unit modulo every harvest prime.
+    """
     kind, n = spec
     if kind == "free":
-        rep = sample_representation(rng, n, walk_length=5)
-        return [eval_word(subset_word(v.subset, n), rep).trace for v in gen_vars]
+        images = sample_representation(rng, n, walk_length=5).images
+        prods = {(): SL2IntMatrix.identity()}
+        for v in gen_vars:  # each subset comes after its prefix
+            prods[v.subset] = prods[v.subset[:-1]] * images[v.subset[-1] - 1]
+        return [1] + [prods[v.subset].trace for v in gen_vars]
     lams = [
         Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
         for _ in range(n)
     ]
     prods = [prod(lams[i - 1] for i in v.indices) for v in gen_vars]
-    return [x + 1 / x for x in prods]
-
-
-def _values_mod_p(values: np.ndarray | list, p: int) -> np.ndarray:
-    out = np.empty(len(values), dtype=np.int64)
-    for i, v in enumerate(values):
-        if isinstance(v, Fraction):
-            out[i] = v.numerator % p * pow(v.denominator % p, p - 2, p) % p
-        else:
-            out[i] = v % p
-    return out
+    values = [x + 1 / x for x in prods]
+    h = lcm(*(x.denominator for x in values))
+    return [h] + [int(x * h) for x in values]
 
 
 def _monomial_matrix_mod_p(
-    samples: Sequence[Sequence], monos: Sequence[tuple[int, ...]], p: int
+    samples: Sequence[Sequence[int]], monos: Sequence[tuple[int, ...]], p: int
 ) -> np.ndarray:
     """Values mod p of every monomial (columns) at every sample (rows)."""
-    base = np.array([_values_mod_p(values, p) for values in samples]).T
+    rows = np.array([[v % p for v in row] for row in samples], dtype=np.int64)
+    inv = np.array([pow(int(h), -1, p) for h in rows[:, 0]], dtype=np.int64)
+    # Residues are below 2^23, so each product is below 2^46.
+    base = (rows[:, 1:] * inv[:, None] % p).T
     known = {(0,) * len(base): np.ones(len(samples), dtype=np.int64)}
     out = np.empty((len(monos), len(samples)), dtype=np.int64)
     for j, mono in enumerate(monos):
@@ -478,29 +481,22 @@ def _primitive_int_vector(fracs: Sequence[Fraction | int]) -> list[int]:
 
 
 def _certified_zero(
-    samples: Sequence[Sequence],
+    samples: Sequence[Sequence[int]],
     monos: Sequence[tuple[int, ...]],
     relations: Sequence[Sequence[int]],
     degree_bound: int,
 ) -> bool:
-    """Exact check that every relation vanishes on every sample.
+    """Exact check that every relation vanishes on every sample row [h, a_1, ...].
 
-    A relation value is a rational whose numerator is bounded a priori;
-    vanishing modulo enough certification primes that their product exceeds
-    twice that bound proves exact vanishing.
+    At a row, h^D times a relation's value is an integer of absolute value at
+    most sum |c| * max(h, |a_i|)^D, D the degree bound.  As h is a unit
+    modulo every prime, vanishing modulo certification primes whose product
+    exceeds twice that bound proves exact vanishing.
     """
     if not relations:
         return True
     sum_abs = max(sum(abs(c) for c in rel) for rel in relations)
-    bound = 0
-    for values in samples:
-        mag = 1
-        den = 1
-        for v in values:
-            f = Fraction(v)
-            mag = max(mag, abs(f.numerator) // f.denominator + 1)
-            den *= f.denominator
-        bound = max(bound, sum_abs * mag**degree_bound * den**degree_bound)
+    bound = sum_abs * max(abs(v) for row in samples for v in row) ** degree_bound
     for q in _modlin.primes_covering(bound):
         v_q = _monomial_matrix_mod_p(samples, monos, q)
         c_q = np.array([[c % q for c in rel] for rel in relations], dtype=np.int64)
@@ -574,7 +570,8 @@ def _reconstruct_relations(lift: np.ndarray, modulus: int) -> list[list[int]] | 
     """Primitive integer relations from the columns of a CRT lift, or None."""
     relations = []
     for column in lift.T:
-        fracs = [_modlin.rational_reconstruct(int(v), modulus) for v in column]
+        # A zero residue reconstructs to 0.
+        fracs = [v and _modlin.rational_reconstruct(int(v), modulus) for v in column]
         if None in fracs:
             return None
         relations.append(_primitive_int_vector(fracs))
@@ -604,10 +601,15 @@ def _vector_to_poly(vec: Sequence[int], monos, gen_vars) -> Poly:
 def tangent_dim_at_trivial(basis: RelationBasis) -> TangentReport:
     """Tangent dimension at chi_0, where every generator variable equals 2."""
     gen_vars = generator_vars(basis.group_spec)
-    chi0 = {v: 2 for v in gen_vars}
+    index = {v: i for i, v in enumerate(gen_vars)}
     rows = []
     for rel in basis.relations:
-        row = [rel.derivative(v).evaluate(chi0) for v in gen_vars]
+        # d(c * prod v^e)/dv at the all-2 point is c * e * 2^(deg - 1).
+        row = [0] * len(gen_vars)
+        for mono, c in rel.terms.items():
+            deg = sum(e for _, e in mono)
+            for v, e in mono:
+                row[index[v]] += c * e * 2 ** (deg - 1)
         if any(row):
             rows.append(_primitive_int_vector(row))
     rank = len(_modlin.int_rref(rows)[1])

@@ -211,8 +211,8 @@ def _cmd_two_bridge(args) -> int:
     payload = result.to_dict()
     lines = [
         f"epsilons: {list(result.epsilons)}",
-        f"Q   = {poly_pretty(result.Q)}",
-        f"Phi = {poly_pretty(result.Phi)}",
+        f"Q   = {payload['Q_pretty']}",
+        f"Phi = {payload['Phi_pretty']}",
         f"Phi(2,2) = {result.phi_at_22}",
         f"Phi square-free: {payload['phi_square_free']}",
     ]
@@ -252,6 +252,10 @@ def _cmd_tangent(args) -> int:
         if type(data.get(name)) is not kind:
             raise CharVarError(f"{path}: {name!r} must be of type {kind.__name__}")
     spec = charvar.parse_group_spec(data["group"])
+    try:  # no harvest writes a file that it would refuse to run
+        charvar.check_harvest_size(spec, data["degree_bound"])
+    except charvar.HarvestError:
+        raise CharVarError(f"{path}: no harvest runs at its degree_bound") from None
     generators = set(charvar.generator_vars(spec))
     malformed = (ArithmeticError, AttributeError, LookupError, TypeError, ValueError)
     relations = []
@@ -262,6 +266,8 @@ def _cmd_tangent(args) -> int:
             raise CharVarError(f"{path}: bad relation {i}: {exc!r}") from None
         if not generators.issuperset(relations[-1].variables()):
             raise CharVarError(f"{path}: relation {i} is not over {data['group']}")
+        if relations[-1].total_degree() > data["degree_bound"]:
+            raise CharVarError(f"{path}: relation {i} exceeds the degree bound")
     basis = charvar.RelationBasis(
         spec, data["degree_bound"], data["seed"], data["sample_count"], relations
     )

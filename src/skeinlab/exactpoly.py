@@ -385,16 +385,6 @@ class Poly(_SparsePoly):
             total = total + val
         return normalize_coeff(total)
 
-    def derivative(self, var) -> "Poly":
-        pieces = []
-        for m, c in self.terms.items():
-            for i, (v, e) in enumerate(m):
-                if v == var:
-                    rest = m[:i] + ((v, e - 1),) + m[i + 1 :] if e > 1 else m[:i] + m[i + 1 :]
-                    pieces.append((rest, normalize_coeff(c * e)))
-                    break
-        return Poly._raw(_add_terms({}, pieces))
-
     def map_variables(self, fn) -> "Poly":
         """Rebuild the polynomial with each variable replaced by fn(var)."""
         pieces = (

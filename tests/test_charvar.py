@@ -1,9 +1,11 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from skeinlab import _modlin
 from skeinlab.charvar import (
     CharVarError,
     HarvestError,
@@ -11,6 +13,7 @@ from skeinlab.charvar import (
     TwoBridgePresentation,
     _certified_zero,
     _constant_gcd,
+    _monomial_matrix_mod_p,
     _sample_generator_values,
     abelian_divisor,
     check_harvest_size,
@@ -27,11 +30,11 @@ from skeinlab.charvar import (
     x_z2_relation_poly,
 )
 from skeinlab.exactpoly import LaurentPoly, Poly, SubsetVar, poly_divide
-from skeinlab.oracle import Representation, eval_word, sample_sl2
+from skeinlab.oracle import Representation, eval_word, sample_representation, sample_sl2
 from skeinlab.selftest import _frac_mat_mul, trefoil_rational_representation
 from skeinlab.skein import SkeinElement, to_laurent
 from skeinlab.trace_engine import ReductionMode, reduce_trace
-from skeinlab.words import reduce_word
+from skeinlab.words import reduce_word, subset_word
 
 T1 = SubsetVar((1,))
 T12 = SubsetVar((1, 2))
@@ -298,15 +301,82 @@ def test_x_z2_identity():
 
 
 def test_certified_zero_sums_past_int64_in_blocks():
-    # Value -1 and coefficient -1 both have residue q - 1, so each of the
-    # first 2,100 columns adds (q - 1)^2 ~ 2^52 to the int64 dot product:
-    # more than 2^63 in one sum.  The exact value is 2100 - 2100 = 0.
+    # Value -1 (the row [1, -1]) and coefficient -1 both have residue q - 1,
+    # so each of the first 2,100 columns adds (q - 1)^2 ~ 2^52 to the int64
+    # dot product: more than 2^63 in one sum.  The exact value is 2100 - 2100.
     columns = 4200
     relation = [-1] * (columns // 2) + [1] * (columns // 2)
     monos = [(1,)] * columns
-    assert _certified_zero([(-1,)], monos, [relation], 1)
+    assert _certified_zero([(1, -1)], monos, [relation], 1)
     relation[-1] = -1
-    assert not _certified_zero([(-1,)], monos, [relation], 1)
+    assert not _certified_zero([(1, -1)], monos, [relation], 1)
+
+
+def _sample_rows(spec, count, seed=5):
+    gen_vars = generator_vars(spec)
+    rng = random.Random(seed)
+    rows = [_sample_generator_values(spec, gen_vars, rng) for _ in range(count)]
+    return gen_vars, rows
+
+
+def _fraction_matrix_mod_p(rows, monos, p):
+    """The Fraction route: each value a_i / h, one Fermat inverse per value."""
+    out = []
+    for h, *nums in rows:
+        res = []
+        for a in nums:
+            f = Fraction(a, h)
+            res.append(f.numerator % p * pow(f.denominator % p, p - 2, p) % p)
+        out.append([
+            prod(pow(r, e, p) for r, e in zip(res, mono)) % p
+            for mono in monos
+        ])
+    return out
+
+
+@pytest.mark.parametrize("spec", [("abelian", 3), ("free", 3)])
+def test_monomial_matrix_matches_the_fraction_route(spec):
+    gen_vars, rows = _sample_rows(spec, 30)
+    monos = monomial_exponents(len(gen_vars), 3)
+    for p in itertools.islice(_modlin.primes(), 2):
+        got = _monomial_matrix_mod_p(rows, monos, p)
+        assert got.tolist() == _fraction_matrix_mod_p(rows, monos, p)
+
+
+def test_free_sample_rows_are_the_subset_traces():
+    # The prefix products consume the same draws as one word per subset.
+    spec = ("free", 4)
+    gen_vars = generator_vars(spec)
+    rng, replay = random.Random(3), random.Random(3)
+    for _ in range(10):
+        row = _sample_generator_values(spec, gen_vars, rng)
+        rep = sample_representation(replay, 4, walk_length=5)
+        traces = [eval_word(subset_word(v.subset, 4), rep).trace for v in gen_vars]
+        assert row == [1] + traces
+
+
+def test_certification_bound_covers_the_cleared_value():
+    # At a row [h, a_1, ...], h^D times a relation's value is an integer no
+    # larger than sum |c| * max|x|^D, which never exceeds the bound of the
+    # Fraction values, sum |c| * mag^D * (product of denominators)^D.
+    spec = ("abelian", 3)
+    gen_vars, rows = _sample_rows(spec, 40)
+    rng = random.Random(8)
+    for degree in (1, 3, 4):
+        monos = monomial_exponents(len(gen_vars), degree)
+        for h, *nums in rows:
+            rel = [rng.randint(-50, 50) for _ in monos]
+            value = sum(
+                c * prod(Fraction(a, h) ** e for a, e in zip(nums, mono))
+                for c, mono in zip(rel, monos)
+            )
+            cleared = h**degree * value
+            bound = sum(map(abs, rel)) * max(abs(x) for x in [h, *nums]) ** degree
+            assert cleared.denominator == 1 and abs(cleared) <= bound
+            fracs = [Fraction(a, h) for a in nums]
+            mag = max(1, *(abs(f.numerator) // f.denominator + 1 for f in fracs))
+            den = prod(f.denominator for f in fracs)
+            assert bound <= sum(map(abs, rel)) * mag**degree * den**degree
 
 
 def test_parse_group_spec():
@@ -322,8 +392,8 @@ def verify_relations_on_fresh_samples(basis, count=50, seed=987):
     gen_vars = generator_vars(basis.group_spec)
     rng = random.Random(f"skeinlab-verify-{basis.group_spec}-{seed}")
     for _ in range(count):
-        values = _sample_generator_values(basis.group_spec, gen_vars, rng)
-        assignment = dict(zip(gen_vars, values))
+        h, *nums = _sample_generator_values(basis.group_spec, gen_vars, rng)
+        assignment = {v: Fraction(a, h) for v, a in zip(gen_vars, nums)}
         if any(rel.evaluate(assignment) != 0 for rel in basis.relations):
             return False
     return True

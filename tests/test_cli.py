@@ -230,6 +230,9 @@ def test_tangent_missing_file(capsys):
         b'[{"coeff": "1", "monomial": [{"subset": [1, 2, 3], "power": 1}]}]}]}',
         b"{not json",
         b"\xff\xfe",
+        b'{"group": "free:2", "degree_bound": 2, "relations": [{"terms": '
+        b'[{"coeff": "1", "monomial": [{"subset": [1], "power": 100000000000}]}]}]}',
+        b'{"group": "free:3", "degree_bound": 100, "relations": []}',
     ],
     ids=[
         "missing",
@@ -244,6 +247,8 @@ def test_tangent_missing_file(capsys):
         "foreign-variable",
         "not-json",
         "not-utf8",
+        "degree-past-bound",
+        "bound-past-harvest-size",
     ],
 )
 def test_tangent_corrupt_file_is_usage_error(capsys, tmp_path, content):

@@ -1,13 +1,17 @@
-"""The benchmark's tracer must still find every function it wraps.
+"""The benchmark's tracer and checks must still work on the program.
 
 perfbench/tracer.py patches skeinlab from outside, at the attribute each
-caller looks up (a class's own __dict__ for methods).  A refactor that moves
-one of them would otherwise only show up when `perfbench/run.py --trace 1`
-is run.  This test reads perfbench/ and changes nothing there.
+caller looks up (a class's own __dict__ for methods), and perfbench/checks.py
+reads the program's outputs, such as Poly.terms keys as (var, power) pairs.
+A refactor that moves a wrapped function or changes an output format would
+otherwise only show up when `perfbench/run.py` is run.  These tests read
+perfbench/ and change nothing there.
 """
 
 import importlib
 from pathlib import Path
+
+import pytest
 
 from skeinlab import exactpoly
 
@@ -38,3 +42,16 @@ def test_tracer_installs_every_wrap_and_restores(monkeypatch):
         t.restore()
     for cls, (mul, rmul) in originals.items():
         assert cls.__dict__["__mul__"] is mul and cls.__dict__["__rmul__"] is rmul
+
+
+@pytest.mark.parametrize(
+    "name", ["trace-reduce", "abelian-laurent", "harvest", "two-bridge"]
+)
+def test_one_seeded_round_of_each_workload_passes_its_checks(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]()
+    workload.setup(1)
+    _, failed = workload.run_round()
+    assert failed == 0
+    assert workload.check() == []
