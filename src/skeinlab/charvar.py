@@ -41,7 +41,7 @@ from .exactpoly import (
     poly_pretty,
     poly_to_dict,
 )
-from .oracle import SL2IntMatrix, sample_representation
+from .oracle import sample_representation, subset_traces
 from .skein import AbelianVar, SkeinElement, parse_abelian_var, to_laurent
 from .trace_engine import ReductionMode, skein_basis_vars
 from .words import GroupWord, reduce_word
@@ -103,10 +103,9 @@ class TwoBridgePresentation:
                 f"unknown knot preset {name!r}; known: {sorted(KNOT_PRESETS)}"
             ) from None
 
-    def relator_word(self, swap_roles: bool = False) -> GroupWord:
-        a_idx, b_idx = (2, 1) if swap_roles else (1, 2)
-        a_letters = [(a_idx, e) for e in self.epsilons]
-        b_letters = [(b_idx, e) for e in reversed(self.epsilons)]
+    def relator_word(self) -> GroupWord:
+        a_letters = [(1, e) for e in self.epsilons]
+        b_letters = [(2, e) for e in reversed(self.epsilons)]
         return reduce_word([l for ab in zip(a_letters, b_letters) for l in ab], 2)
 
 
@@ -187,19 +186,14 @@ def _times_letters(p: tuple, letters) -> tuple:
     return p
 
 
-def two_bridge_numerator(
-    pres: TwoBridgePresentation, swap_roles: bool = False
-) -> Poly:
+def two_bridge_numerator(pres: TwoBridgePresentation) -> Poly:
     """P_w - P_{bwa^-1} with [b] := [a], in the variables t1, t2 = tr(ab).
 
     tr(b w a^-1) = tr(w a^-1 b) continues from the basis components of w.
-    With swap_roles a and b exchange generators; since tr a = tr b the
-    numerator is the same.
     """
-    a_idx, b_idx = (2, 1) if swap_roles else (1, 2)
-    letters = [(l.index, l.exponent) for l in pres.relator_word(swap_roles).letters]
+    letters = [(l.index, l.exponent) for l in pres.relator_word().letters]
     w = _times_letters(({0: 1}, {}, {}, {}), letters)
-    wab = _times_letters(w, [(a_idx, -1), (b_idx, 1)])
+    wab = _times_letters(w, [(1, -1), (2, 1)])
     traces = (_combine(w, _TRACE_ROW), _combine(wab, _TRACE_ROW))
     diff = _combine(traces, ((0, 0, 1), (1, 0, -1)))
     return Poly._raw({PackedPoly.unpack(k, SubsetVar): c for k, c in diff.items()})
@@ -431,11 +425,8 @@ def _sample_generator_values(
     """
     kind, n = spec
     if kind == "free":
-        images = sample_representation(rng, n, walk_length=5).images
-        prods = {(): SL2IntMatrix.identity()}
-        for v in gen_vars:  # each subset comes after its prefix
-            prods[v.subset] = prods[v.subset[:-1]] * images[v.subset[-1] - 1]
-        return [1] + [prods[v.subset].trace for v in gen_vars]
+        images = sample_representation(rng, n, walk_length=5)
+        return [1] + subset_traces(images, [v.subset for v in gen_vars])
     lams = [
         Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
         for _ in range(n)

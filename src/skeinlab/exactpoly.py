@@ -506,42 +506,6 @@ class LaurentPoly(_SparsePoly):
         zero = tuple([0] * rank)
         return cls._raw(rank, {zero: c} if c != 0 else {})
 
-    @classmethod
-    def monomial(cls, rank: int, exponents: Sequence[int], c: Coeff = 1) -> "LaurentPoly":
-        return cls(rank, {tuple(exponents): c})
-
-    @classmethod
-    def sum(cls, rank: int, polys: Iterable["LaurentPoly"]) -> "LaurentPoly":
-        return cls._raw(rank, _sum_terms(polys))
-
-    def invert_variables(self) -> "LaurentPoly":
-        """Image under the involution x_i -> x_i^(-1)."""
-        return LaurentPoly._raw(
-            self.rank, {tuple(-e for e in ev): c for ev, c in self.terms.items()}
-        )
-
-    def is_symmetric(self) -> bool:
-        """True iff invariant under simultaneous inversion of all variables."""
-        for ev, c in self.terms.items():
-            if self.terms.get(tuple(-e for e in ev), 0) != c:
-                return False
-        return True
-
-    def evaluate(self, values: Sequence[Coeff]) -> Coeff:
-        """Exact value at nonzero rational points."""
-        if len(values) != self.rank:
-            raise PolyEvalError(f"expected {self.rank} values, got {len(values)}")
-        vals = [Fraction(v) for v in values]
-        if any(v == 0 for v in vals):
-            raise PolyEvalError("Laurent evaluation requires nonzero values")
-        total = Fraction(0)
-        for ev, c in self.terms.items():
-            val = Fraction(c)
-            for x, e in zip(vals, ev):
-                val *= x**e
-            total += val
-        return normalize_coeff(total)
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Coeff]]:
         return sorted(self.terms.items())
 
@@ -635,7 +599,9 @@ def poly_from_dict(data: Mapping, var_parser=None) -> Poly:
     """Rebuild a Poly from the JSON schema.
 
     Monomial entries carrying a "subset" key become SubsetVars; entries with
-    a "var" name are resolved through var_parser.
+    a "var" name are resolved through var_parser.  Each power is a JSON
+    integer >= 1 and each variable appears once per monomial, as written by
+    poly_to_dict.
     """
     terms: dict[Monomial, Coeff] = {}
     for entry in data["terms"]:
@@ -647,7 +613,12 @@ def poly_from_dict(data: Mapping, var_parser=None) -> Poly:
                 if var_parser is None:
                     raise PolyError(f"no parser for variable {item['var']!r}")
                 var = var_parser(item["var"])
-            mono.append((var, int(item["power"])))
+            power = item["power"]
+            if type(power) is not int or power < 1:
+                raise PolyError(f"power must be an integer >= 1, got {power!r}")
+            mono.append((var, power))
+        if len({var for var, _ in mono}) < len(mono):
+            raise PolyError("a variable appears twice in one monomial")
         mono.sort(key=lambda t: t[0].sort_key)
         terms[tuple(mono)] = coeff_from_str(entry["coeff"])
     return Poly(terms)
@@ -661,13 +632,6 @@ def laurent_to_dict(p: LaurentPoly) -> dict:
             for ev, c in p.sorted_terms()
         ],
     }
-
-
-def laurent_from_dict(data: Mapping) -> LaurentPoly:
-    return LaurentPoly(
-        int(data["rank"]),
-        {tuple(t["exponents"]): coeff_from_str(t["coeff"]) for t in data["terms"]},
-    )
 
 
 def poly_pretty(p: Poly) -> str:

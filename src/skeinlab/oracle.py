@@ -10,8 +10,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
-from .words import GroupWord, format_word, reduce_word, subset_word
+from .words import GroupWord, format_word, reduce_word
 from .exactpoly import is_integral
 
 
@@ -66,20 +67,6 @@ class SL2IntMatrix:
         return result
 
 
-@dataclass(frozen=True, slots=True)
-class Representation:
-    """Homomorphism F_rank -> SL2(Z), determined freely by generator images."""
-
-    rank: int
-    images: tuple[SL2IntMatrix, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.images) != self.rank:
-            raise OracleError(
-                f"need {self.rank} generator images, got {len(self.images)}"
-            )
-
-
 def sample_sl2(rng: random.Random, walk_length: int) -> SL2IntMatrix:
     """Product of walk_length elementary matrices with entries in [-3, 3]."""
     if walk_length < 1:
@@ -97,27 +84,39 @@ def sample_sl2(rng: random.Random, walk_length: int) -> SL2IntMatrix:
 
 def sample_representation(
     rng: random.Random, rank: int, walk_length: int = 6
-) -> Representation:
-    return Representation(
-        rank, tuple(sample_sl2(rng, walk_length) for _ in range(rank))
-    )
+) -> tuple[SL2IntMatrix, ...]:
+    """Images of the generators g_1..g_rank: a homomorphism F_rank -> SL2(Z)."""
+    return tuple(sample_sl2(rng, walk_length) for _ in range(rank))
 
 
-def eval_word(w: GroupWord, rep: Representation) -> SL2IntMatrix:
-    """Exact matrix value of a word under a representation."""
-    if w.rank != rep.rank:
-        raise OracleError(f"word rank {w.rank} != representation rank {rep.rank}")
+def eval_word(w: GroupWord, images: Sequence[SL2IntMatrix]) -> SL2IntMatrix:
+    """Exact matrix value of a word at the generator images."""
+    if w.rank != len(images):
+        raise OracleError(f"word rank {w.rank} != {len(images)} generator images")
     m = SL2IntMatrix.identity()
     for letter in w.letters:
-        m = m * rep.images[letter.index - 1] ** letter.exponent
+        m = m * images[letter.index - 1] ** letter.exponent
     return m
 
 
-def subset_trace_assignment(rep: Representation, variables) -> dict:
-    """Map each SubsetVar to the trace of its subset word under rep."""
-    out = {}
-    for var in variables:
-        out[var] = eval_word(subset_word(var.subset, rep.rank), rep).trace
+def subset_traces(
+    images: Sequence[SL2IntMatrix], subsets: Iterable[tuple[int, ...]]
+) -> list[int]:
+    """Traces of the increasing products of the images over each sorted subset.
+
+    The products are built from shared prefixes: each costs one
+    multiplication once its longest prefix is known.
+    """
+    prods = {(): SL2IntMatrix.identity()}
+    out = []
+    for subset in subsets:
+        known = len(subset)
+        while subset[:known] not in prods:
+            known -= 1
+        m = prods[subset[:known]]
+        for i in range(known, len(subset)):
+            m = prods[subset[: i + 1]] = m * images[subset[i] - 1]
+        out.append(m.trace)
     return out
 
 
@@ -168,7 +167,6 @@ def fuzz_check(
     max_len: int,
     mode,
     seed: int,
-    engine=None,
 ) -> FuzzReport:
     """Compare tr(rho(w)) with the canonical polynomial evaluated at subset traces.
 
@@ -186,19 +184,19 @@ def fuzz_check(
             f" and {limit} for the rank and the word length"
         )
     mode = trace_engine.ReductionMode(mode)
-    if engine is None:
-        engine = trace_engine.get_engine(mode)
+    engine = trace_engine.get_engine(mode)
     rng = random.Random(f"skeinlab-fuzz-{seed}")
     report = FuzzReport(count=count, mode=mode.value, seed=seed)
     start = time.monotonic()
     for _ in range(count):
         rank = rng.randint(1, max_rank)
-        rep = sample_representation(rng, rank)
+        images = sample_representation(rng, rank)
         w = random_word(rng, rank, max_len)
-        expected = eval_word(w, rep).trace
+        expected = eval_word(w, images).trace
         poly = engine.reduce(w)
-        assignment = subset_trace_assignment(rep, poly.variables())
-        got = poly.evaluate(assignment)
+        variables = poly.variables()
+        traces = subset_traces(images, [v.subset for v in variables])
+        got = poly.evaluate(dict(zip(variables, traces)))
         if not is_integral(got):
             report.all_values_integral = False
         if got != expected:

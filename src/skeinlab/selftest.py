@@ -63,6 +63,10 @@ def criterion_1_oracle_equivalence(fuzz_count: int = 1000) -> CriterionResult:
     )
 
 
+# Random words per generating-set criterion (2 and 3).
+WORD_COUNT = 500
+
+
 def _random_words(count: int, max_rank: int, max_len: int, seed: int):
     rng = random.Random(f"skeinlab-selftest-words-{seed}")
     for _ in range(count):
@@ -70,7 +74,7 @@ def _random_words(count: int, max_rank: int, max_len: int, seed: int):
         yield rank, oracle.random_word(rng, rank, max_len)
 
 
-def criterion_2_integral_generators(word_count: int = 500) -> CriterionResult:
+def criterion_2_integral_generators() -> CriterionResult:
     start = time.monotonic()
     universe = {
         n: set(trace_engine.skein_basis_vars(n, ReductionMode.INTEGRAL))
@@ -79,7 +83,7 @@ def criterion_2_integral_generators(word_count: int = 500) -> CriterionResult:
     counts_ok = all(len(universe[n]) == 2**n - 1 for n in range(1, 5))
     engine = trace_engine.get_engine(ReductionMode.INTEGRAL)
     violations = 0
-    for rank, w in _random_words(word_count, 4, 10, seed=2):
+    for rank, w in _random_words(WORD_COUNT, 4, 10, seed=2):
         poly = engine.reduce(w)
         if not all(v in universe[rank] for v in poly.variables()):
             violations += 1
@@ -91,17 +95,17 @@ def criterion_2_integral_generators(word_count: int = 500) -> CriterionResult:
         "integral generating set (2^n - 1)",
         ok,
         f"universe sizes {[len(universe[n]) for n in range(1, 5)]}, "
-        f"{violations} violations in {word_count} words",
+        f"{violations} violations in {WORD_COUNT} words",
         start,
     )
 
 
-def criterion_3_dyadic_conformance(word_count: int = 500) -> CriterionResult:
+def criterion_3_dyadic_conformance() -> CriterionResult:
     start = time.monotonic()
     n4 = trace_engine.skein_basis_vars(4, ReductionMode.DYADIC)
     engine = trace_engine.get_engine(ReductionMode.DYADIC)
     violations = 0
-    for rank, w in _random_words(word_count, 4, 10, seed=3):
+    for rank, w in _random_words(WORD_COUNT, 4, 10, seed=3):
         poly = engine.reduce(w)
         if not all(len(v.subset) <= 3 for v in poly.variables()):
             violations += 1
@@ -112,7 +116,7 @@ def criterion_3_dyadic_conformance(word_count: int = 500) -> CriterionResult:
         3,
         "dyadic generating set (n + C(n,2) + C(n,3))",
         ok,
-        f"n=4 universe {len(n4)} == 14, {violations} violations in {word_count} words",
+        f"n=4 universe {len(n4)} == 14, {violations} violations in {WORD_COUNT} words",
         start,
     )
 

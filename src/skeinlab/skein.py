@@ -94,19 +94,6 @@ class SkeinElement:
                 f" vs ({other.rank},{other.mode.value},{other.group})"
             )
 
-    def __add__(self, other: "SkeinElement") -> "SkeinElement":
-        self._compatible(other)
-        return SkeinElement(self.rank, self.mode, self.group, self.poly + other.poly)
-
-    def __sub__(self, other: "SkeinElement") -> "SkeinElement":
-        self._compatible(other)
-        return SkeinElement(self.rank, self.mode, self.group, self.poly - other.poly)
-
-    def __rmul__(self, scalar) -> "SkeinElement":
-        if isinstance(scalar, (int, Fraction)):
-            return SkeinElement(self.rank, self.mode, self.group, scalar * self.poly)
-        return NotImplemented
-
 
 def from_word(w: GroupWord, mode: ReductionMode = ReductionMode.INTEGRAL) -> SkeinElement:
     """Canonical form of the class [w] in S(F_rank)."""

@@ -26,14 +26,13 @@ each word it needs and is sent back its polynomial; only memo misses are
 pushed.  So depth is bounded by memory, not by the recursion limit, and the
 rule order and the memo's fill order are those of a recursive evaluation.
 
-The engine computes on packed monomials (exactpoly.PackedPoly): the
-variable t_S owns a FIELD_BITS-bit field of an int, fixed when t_S is
-interned, so a monomial product is one integer add and a memo shared by
-several engines stays valid.  Packing is exact while every exponent is below
-2^FIELD_BITS.  The rules keep every exponent of tr(w) at most the symbol
-length of w: give t_S the weight |S|; R1-R4 replace a word of length n by
-sums of products whose words' lengths add up to at most n, and so does R5,
-because every monomial of the size-4 rule uses each of the four blocks
+The engine computes on packed monomials (exactpoly.PackedPoly): the variable
+t_S owns a FIELD_BITS-bit field of an int, fixed when t_S is interned, so a
+monomial product is one integer add.  Packing is exact while every exponent
+is below 2^FIELD_BITS.  The rules keep every exponent of tr(w) at most the
+symbol length of w: give t_S the weight |S|; R1-R4 replace a word of length
+n by sums of products whose words' lengths add up to at most n, and so does
+R5, because every monomial of the size-4 rule uses each of the four blocks
 exactly once (weight 4).  A rule of higher weight could repeat a block and
 overflow a field, so the engine refuses one, and reduce refuses a word whose
 cyclic reduction is longer than MAX_SYMBOL_LENGTH.  Dyadic values are kept
@@ -67,11 +66,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import or_
-from typing import Generator, Mapping, Sequence
+from typing import Generator, Mapping
 
 from . import _modlin
 from .exactpoly import FIELD_BITS, PackedPoly, Poly, SubsetVar, normalize_coeff
-from .oracle import SL2IntMatrix, sample_sl2
+from .oracle import sample_sl2, subset_traces
 from .words import GroupWord, Letter, cyclic_key, reduce_word
 
 
@@ -136,16 +135,6 @@ def _candidate_monomials(weight_bound: int) -> list[RuleMonomial]:
     return sorted(out)
 
 
-def _quad_traces(ms: Sequence[SL2IntMatrix]) -> dict[tuple[int, ...], int]:
-    vals: dict[tuple[int, ...], int] = {}
-    for subset in _RULE_SUBSETS:
-        prod = SL2IntMatrix.identity()
-        for i in subset:
-            prod = prod * ms[i - 1]
-        vals[subset] = prod.trace
-    return vals
-
-
 def _monomial_value(m: RuleMonomial, traces: Mapping[tuple[int, ...], int]) -> int:
     val = 1
     for subset, power in m:
@@ -188,7 +177,7 @@ def derive_rule_k4(oracle_seed: int = 0) -> RuleK4:
         ]
         rows, rhs = [], []
         for ms in quads:
-            traces = _quad_traces(ms)
+            traces = dict(zip(_RULE_SUBSETS, subset_traces(ms, _RULE_SUBSETS)))
             rows.append([_monomial_value(m, traces) for m in cands])
             prod = ms[0] * ms[1] * ms[2] * ms[3]
             rhs.append(2 * prod.trace)
@@ -210,21 +199,14 @@ def verify_rule_k4(
     count: int = 100,
     rng: random.Random | None = None,
     seed: int = 0,
-    specialize_identity: bool = False,
 ) -> list:
-    """Residuals 2*tr(M1 M2 M3 M4) - rule(traces) on fresh exact quadruples.
-
-    With specialize_identity the fourth matrix is pinned to the identity,
-    checking that the rule collapses to a valid 3-matrix identity.
-    """
+    """Residuals 2*tr(M1 M2 M3 M4) - rule(traces) on fresh exact quadruples."""
     if rng is None:
         rng = random.Random(f"skeinlab-rule-k4-verify-{seed}")
     residuals = []
     for _ in range(count):
         ms = [sample_sl2(rng, walk_length=4) for _ in range(4)]
-        if specialize_identity:
-            ms[3] = SL2IntMatrix.identity()
-        traces = _quad_traces(ms)
+        traces = dict(zip(_RULE_SUBSETS, subset_traces(ms, _RULE_SUBSETS)))
         total = 0
         for m, c in rule.coefficients:
             total = total + c * _monomial_value(m, traces)
@@ -340,12 +322,7 @@ def _generator(index: int) -> PackedPoly:
 class TraceEngine:
     """Reduction engine for one mode; reuse one instance to share the memo table."""
 
-    def __init__(
-        self,
-        mode: ReductionMode,
-        rule_k4: RuleK4 | None = None,
-        memo: dict[tuple[GroupWord, ReductionMode], object] | None = None,
-    ):
+    def __init__(self, mode: ReductionMode, rule_k4: RuleK4 | None = None):
         self.mode = ReductionMode(mode)
         if self.mode is ReductionMode.DYADIC:
             if rule_k4 is None:
@@ -357,10 +334,9 @@ class TraceEngine:
                         f"size-4 rule monomial {m} does not use each block once"
                     )
         self.rule_k4 = rule_k4
-        # Packed values (PackedPoly or _Dyadic) by (cyclic key, mode); engines
-        # may share it.  The Polys reduce returned, and the Poly monomial of
-        # each packed key, are kept per engine.
-        self.memo = memo if memo is not None else {}
+        # Packed values (PackedPoly or _Dyadic) by cyclic key, the Polys
+        # reduce returned, and the Poly monomial of each packed key.
+        self.memo: dict[GroupWord, object] = {}
         self._polys: dict[GroupWord, Poly] = {}
         self._monomials: dict[int, tuple] = {}
         self.stats: Counter[str] = Counter()
@@ -381,8 +357,8 @@ class TraceEngine:
 
     def _evaluate(self, key: GroupWord):
         """Packed value of a cyclic key, from the memo or by rewriting."""
-        memo, mode, stats = self.memo, self.mode, self.stats
-        value = memo.get((key, mode))
+        memo, stats = self.memo, self.stats
+        value = memo.get(key)
         if value is not None:
             stats["r0_memo_hit"] += 1
             return value
@@ -399,10 +375,10 @@ class TraceEngine:
                 rank, pairs = rewrite.send(value)
             except StopIteration as done:
                 stack.pop()
-                value = memo[(key, mode)] = done.value
+                value = memo[key] = done.value
                 continue
             child = cyclic_key(reduce_word(pairs, rank))
-            value = memo.get((child, mode))
+            value = memo.get(child)
             if value is not None:
                 stats["r0_memo_hit"] += 1
             else:

@@ -62,9 +62,6 @@ class AbelianVector:
                 f"coordinate vector has length {len(self.coords)}, expected {self.rank}"
             )
 
-    def is_identity(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
 
 def _merge_letters(pairs: Iterable[tuple[int, int]]) -> list[Letter]:
     out: list[Letter] = []
@@ -110,18 +107,6 @@ def invert(w: GroupWord) -> GroupWord:
     return GroupWord(
         w.rank, tuple(Letter(l.index, -l.exponent) for l in reversed(w.letters))
     )
-
-
-def subset_word(subset: Iterable[int], rank: int) -> GroupWord:
-    """The increasing product g_{i_1} g_{i_2} ... g_{i_k} over a nonempty index set."""
-    indices = sorted(set(subset))
-    if not indices:
-        raise WordError("subset must be nonempty")
-    if rank < 1:
-        raise WordError(f"rank must be >= 1, got {rank}")
-    if indices[0] < 1 or indices[-1] > rank:
-        raise WordError(f"subset {indices} not contained in 1..{rank}")
-    return GroupWord(rank, tuple(Letter(i, 1) for i in indices))
 
 
 def _cyclic_reduce(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -183,8 +168,8 @@ def parse_word(text: str, rank: int) -> GroupWord:
     for tok in tokens:
         if tok == "e":
             raise WordError("identity token 'e' must stand alone")
-        name, _, power = tok.partition("^")
-        if power:
+        name, caret, power = tok.partition("^")
+        if caret:
             try:
                 exponent = int(power)
             except ValueError:

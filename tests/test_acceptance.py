@@ -18,11 +18,11 @@ def test_criterion_01_oracle_equivalence():
 
 
 def test_criterion_02_integral_generators():
-    _check(selftest.criterion_2_integral_generators(word_count=500))
+    _check(selftest.criterion_2_integral_generators())
 
 
 def test_criterion_03_dyadic_conformance():
-    _check(selftest.criterion_3_dyadic_conformance(word_count=500))
+    _check(selftest.criterion_3_dyadic_conformance())
 
 
 def test_criterion_04_rule_k4_bootstrap():

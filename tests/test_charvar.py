@@ -30,11 +30,11 @@ from skeinlab.charvar import (
     x_z2_relation_poly,
 )
 from skeinlab.exactpoly import LaurentPoly, Poly, SubsetVar, poly_divide
-from skeinlab.oracle import Representation, eval_word, sample_representation, sample_sl2
+from skeinlab.oracle import eval_word, sample_representation, sample_sl2
 from skeinlab.selftest import _frac_mat_mul, trefoil_rational_representation
 from skeinlab.skein import SkeinElement, to_laurent
 from skeinlab.trace_engine import ReductionMode, reduce_trace
-from skeinlab.words import reduce_word, subset_word
+from skeinlab.words import reduce_word
 
 T1 = SubsetVar((1,))
 T12 = SubsetVar((1, 2))
@@ -107,9 +107,17 @@ def test_fig8_charpoly():
     assert is_square_free(res.Phi)
 
 
+def _relator_word(pres, swap_roles=False):
+    """The relator word w, with generators a and b exchanged under swap_roles."""
+    w = pres.relator_word()
+    if not swap_roles:
+        return w
+    return reduce_word([(3 - l.index, l.exponent) for l in w.letters], 2)
+
+
 def _bwa_word(pres, swap_roles=False):
     a_idx, b_idx = (2, 1) if swap_roles else (1, 2)
-    w = pres.relator_word(swap_roles)
+    w = _relator_word(pres, swap_roles)
     return reduce_word(
         [(b_idx, 1)] + [(l.index, l.exponent) for l in w.letters] + [(a_idx, -1)], 2
     )
@@ -118,7 +126,7 @@ def _bwa_word(pres, swap_roles=False):
 def _engine_numerator(pres, swap_roles=False):
     """The numerator by the general trace engine: both traces reduced over Z,
     then tr(b) := tr(a), so that both generator traces become t1."""
-    diff = reduce_trace(pres.relator_word(swap_roles), ReductionMode.INTEGRAL)
+    diff = reduce_trace(_relator_word(pres, swap_roles), ReductionMode.INTEGRAL)
     diff -= reduce_trace(_bwa_word(pres, swap_roles), ReductionMode.INTEGRAL)
     return Poly.sum(
         Poly({tuple((T1 if len(var.subset) == 1 else var, e) for var, e in m): c})
@@ -139,10 +147,7 @@ def test_numerator_matches_engine_reference():
     lists += [_random_epsilons(rng, length) for length in range(6, 13) for _ in range(3)]
     for eps in lists:
         pres = TwoBridgePresentation(eps)
-        for swap_roles in (False, True):
-            assert two_bridge_numerator(pres, swap_roles) == _engine_numerator(
-                pres, swap_roles
-            ), (eps, swap_roles)
+        assert two_bridge_numerator(pres) == _engine_numerator(pres), eps
 
 
 def test_torus_knots_match_closed_form():
@@ -172,10 +177,9 @@ def test_numerator_matches_matrix_oracle():
             m = sample_sl2(rng, 6)
             conj = sample_sl2(rng, 6)
             images = (m, conj * m * conj.inverse())
-            rep = Representation(2, images)
             t1_val = images[0].trace
             t2_val = (images[0] * images[1]).trace
-            expected = eval_word(w, rep).trace - eval_word(bwa, rep).trace
+            expected = eval_word(w, images).trace - eval_word(bwa, images).trace
             assert numerator.evaluate({T1: t1_val, T12: t2_val}) == expected
 
 
@@ -191,7 +195,7 @@ def test_swap_roles_symmetry():
     for eps in ((1,), (1, -1), (1, 1), (1, 1, -1)):
         pres = TwoBridgePresentation(eps)
         q = two_bridge_numerator(pres)
-        q_swapped = two_bridge_numerator(pres, swap_roles=True)
+        q_swapped = _engine_numerator(pres, swap_roles=True)
         assert q == q_swapped or q == -q_swapped
 
 
@@ -350,8 +354,11 @@ def test_free_sample_rows_are_the_subset_traces():
     rng, replay = random.Random(3), random.Random(3)
     for _ in range(10):
         row = _sample_generator_values(spec, gen_vars, rng)
-        rep = sample_representation(replay, 4, walk_length=5)
-        traces = [eval_word(subset_word(v.subset, 4), rep).trace for v in gen_vars]
+        images = sample_representation(replay, 4, walk_length=5)
+        traces = [
+            eval_word(reduce_word([(i, 1) for i in v.subset], 4), images).trace
+            for v in gen_vars
+        ]
         assert row == [1] + traces
 
 
@@ -413,6 +420,47 @@ def test_harvest_free_2_degree_4_empty():
     monos = monomial_exponents(3, 4)
     basis = harvest_relations(("free", 2), 4, 2 * len(monos), seed=11)
     assert basis.relations == []
+
+
+def _fricke_quartic() -> Poly:
+    """F = t123^2 - P*t123 + Q, the one relation of C[X(F_3)] (Magnus,
+    Math. Z. 170, 1980), in the subset-trace variables."""
+    t1, t2, t3, t12, t13, t23, t123 = map(v, generator_vars(("free", 3)))
+    p = t1 * t23 + t2 * t13 + t3 * t12 - t1 * t2 * t3
+    q = (
+        t1**2 + t2**2 + t3**2 + t12**2 + t13**2 + t23**2
+        - t1 * t2 * t12 - t1 * t3 * t13 - t2 * t3 * t23 + t12 * t13 * t23 - 4
+    )
+    return t123**2 - p * t123 + q
+
+
+@pytest.mark.parametrize("degree, count", [(4, 1), (5, 8)])
+def test_free_3_harvest_spans_the_fricke_multiples(degree, count):
+    # The degree-d relations of X(F_3) are exactly F times the monomials of
+    # degree <= d - 4: C(d + 3, 7) of them.
+    gen_vars = generator_vars(("free", 3))
+    monos = monomial_exponents(len(gen_vars), degree)
+    basis = harvest_relations(("free", 3), degree, 2 * len(monos), seed=11)
+    fricke = _fricke_quartic()
+    multiples = [
+        Poly({tuple((var, e) for var, e in zip(gen_vars, mono) if e): 1}) * fricke
+        for mono in monomial_exponents(len(gen_vars), degree - 4)
+    ]
+    column = {mono: j for j, mono in enumerate(monos)}
+
+    def rank(polys):
+        rows = []
+        for poly in polys:
+            row = [0] * len(monos)
+            for m, c in poly.terms.items():
+                powers = dict(m)
+                row[column[tuple(powers.get(var, 0) for var in gen_vars)]] = c
+            rows.append(row)
+        return len(_modlin.int_rref(rows)[1])
+
+    assert len(basis.relations) == len(multiples) == count
+    assert rank(basis.relations) == rank(multiples) == count
+    assert rank(basis.relations + multiples) == count
 
 
 def test_harvest_insufficient_samples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -233,6 +234,13 @@ def test_tangent_missing_file(capsys):
         b'{"group": "free:2", "degree_bound": 2, "relations": [{"terms": '
         b'[{"coeff": "1", "monomial": [{"subset": [1], "power": 100000000000}]}]}]}',
         b'{"group": "free:3", "degree_bound": 100, "relations": []}',
+        b'{"group": "free:2", "degree_bound": 3, "relations": [{"terms": '
+        b'[{"coeff": "1", "monomial": [{"subset": [1], "power": 1.5}]}]}]}',
+        b'{"group": "free:2", "degree_bound": 3, "relations": [{"terms": '
+        b'[{"coeff": "1", "monomial": [{"subset": [1], "power": true}]}]}]}',
+        b'{"group": "abelian:2", "degree_bound": 3, "relations": [{"terms": '
+        b'[{"coeff": "1", "monomial": [{"var": "u1", "power": 1}, '
+        b'{"var": "u1", "power": -1}]}]}]}',
     ],
     ids=[
         "missing",
@@ -249,6 +257,9 @@ def test_tangent_missing_file(capsys):
         "not-utf8",
         "degree-past-bound",
         "bound-past-harvest-size",
+        "fractional-power",
+        "bool-power",
+        "repeated-variable",
     ],
 )
 def test_tangent_corrupt_file_is_usage_error(capsys, tmp_path, content):
@@ -356,6 +367,10 @@ def test_deep_word_has_no_traceback(capsys):
     assert out.startswith("t1^999*t[1,2] - ")
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.slow
 def test_selftest_quick_exits_zero(capsys):
     code, out, _ = invoke(capsys, ["selftest", "--quick"])
@@ -363,6 +378,72 @@ def test_selftest_quick_exits_zero(capsys):
     lines = [l for l in out.strip().splitlines() if l]
     assert len(lines) == 10
     assert all(l.startswith(("PASS", "SKIP")) for l in lines)
+    assert _sha256(out) == (
+        "abdb7adba64d90cdf3b7dcd5e138e19e1526a54c6d175f1979d237a81f5eacc6"
+    )
+
+
+# SHA-256 of stdout, pinned at commit 408e7ba.  Stdout is byte-identical
+# across runs and refactors, so any change here is a change of behaviour.
+_HARVEST_ABELIAN_3 = ["harvest", "--group", "abelian:3", "--degree", "4", "--seed", "11"]
+_STDOUT_DIGESTS = [
+    (["reduce", "--rank", "3", "--mode", "dyadic", "a c b"],
+     "8d3da442b985d5d3196dd79492ffb257a3d0306cdb91072cc49072df37103d6c"),
+    (["reduce", "--rank", "2", "a b^-1"],
+     "5f265f2fe614592e5e075a8e12c61231f07de0742f0c6201f790fddf715ae8d5"),
+    (["multiply", "--rank", "2", "--mode", "dyadic", "a", "b"],
+     "f53413d686a645c7ca528641c8f427c6bb27172ccc1e8f9ff7a61a564d2c6d72"),
+    (["abelian", "--rank", "3", "--vector", "1,-1,2"],
+     "7d062928fe3e38decf5a48b97615c1a6f0cbe68622f7713c1b1e566b810c04a7"),
+    (["abelian", "--rank", "3", "--vector", "1,1,1", "--mode", "integral"],
+     "a742eda1e7c50bb01a61062386fcff6bea0bb36b4cf00092826404687612c2ea"),
+    (["two-bridge", "--knot", "trefoil"],
+     "544437ef4fe96ba9efc0c5f5127d6ea764075ea03619f736b9b829d31f93d2e7"),
+    (["two-bridge", "--epsilons=1,1,-1,-1,1,-1,1", "--json"],
+     "f147515befdb1ccc05664d77934fa5a107239df79640ab55e23371ec47ed8368"),
+    (["harvest", "--group", "free:4", "--degree", "3", "--seed", "11"],
+     "a65e7aabaa406c57a894065fa17daaa892c31a67e01e8dd99faa0e582989bb37"),
+    (["harvest", "--group", "abelian:2", "--degree", "6", "--seed", "11"],
+     "795e117f4191b6b082b9a3e609338be19fa34fc70b0338514c08fc5ee7ec328f"),
+    (["harvest", "--group", "free:2", "--degree", "4", "--seed", "11"],
+     "b4a8a97d745be133f1ca923e5c93b67a679f007598c2f78eb251ef93108debb6"),
+    (_HARVEST_ABELIAN_3,
+     "7197a9c24ab412d686ba2924ddd4d0a2337bc6275805f49b3999d306e9ec5cf2"),
+]
+_TANGENT_DIGEST = "18f0bac1c74148a7f9b1522db54b7158b42b436cf0ffafe31331854d394d27e8"
+# These print the session engine's rule counters, so each runs in a fresh
+# interpreter, as from the shell.
+_FRESH_STDOUT_DIGESTS = [
+    (["fuzz", "--count", "300", "--mode", "integral", "--seed", "7", "--json"],
+     "bb4629a5155aab65a61afe2c5a413639c9ce1bd5b172478e18ac537dd49ef7ed"),
+    (["fuzz", "--count", "300", "--mode", "dyadic", "--seed", "7", "--json"],
+     "e411370412135f23724d21440f796bb63583f1fc5f893572fd4ac6f3bc20bb75"),
+    (["reduce", "--rank", "4", "--mode", "dyadic", "--stats", "--json",
+      "a b^2 c^-1 d a^-1 c"],
+     "fa19804b8edf872fac7f6de96436ca38495c808a31184e67960739a81e948267"),
+]
+
+
+def test_stdout_digests_are_pinned(capsys, tmp_path):
+    for argv, digest in _STDOUT_DIGESTS:
+        code, out, err = invoke(capsys, argv)
+        assert (code, _sha256(out)) == (0, digest), (argv, err)
+        if argv is _HARVEST_ABELIAN_3:
+            harvest = tmp_path / "harvest.json"
+            harvest.write_text(out)
+    code, out, err = invoke(capsys, ["tangent", "--from", str(harvest)])
+    assert (code, _sha256(out)) == (0, _TANGENT_DIGEST), err
+    src_dir = Path(skeinlab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src_dir))
+    for argv, digest in _FRESH_STDOUT_DIGESTS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "skeinlab.cli", *argv],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, argv
 
 
 _HUGE = "99999999999"
@@ -376,6 +457,7 @@ _EDGE_CASES = [
     (["reduce", "--rank", "2", "a^512 b^512"], 2),
     (["reduce", "--rank", "2", "--mode", "dyadic", "a^2000 b a^-2000"], 0),
     (["reduce", "--rank", "2", " ".join(["a b^-1"] * 30)], 0),
+    (["reduce", "--rank", "2", "a^"], 2),
     (["abelian", "--rank", "2", "--vector", "512,512"], 2),
     (["reduce", "--rank", _HUGE, f"g1 g{_HUGE}"], 0),
     (["multiply", "--rank", _HUGE, "a", "b"], 0),

@@ -5,17 +5,16 @@ import pytest
 
 from skeinlab.oracle import (
     OracleError,
-    Representation,
     SL2IntMatrix,
     eval_word,
     fuzz_check,
     random_word,
     sample_representation,
     sample_sl2,
-    subset_trace_assignment,
+    subset_traces,
 )
 from skeinlab.trace_engine import ReductionMode, TraceEngine
-from skeinlab.words import AbelianVector, parse_word
+from skeinlab.words import AbelianVector, parse_word, reduce_word
 
 
 class _StubRng:
@@ -58,20 +57,32 @@ def test_sample_determinism():
 
 
 def test_eval_word_examples():
-    rep = Representation(
-        2, (SL2IntMatrix(1, 1, 0, 1), SL2IntMatrix(1, 0, 1, 1))
-    )
-    assert eval_word(parse_word("e", 2), rep) == SL2IntMatrix.identity()
-    assert eval_word(parse_word("e", 2), rep).trace == 2
-    a = rep.images[0]
-    assert eval_word(parse_word("a^-1", 2), rep) == SL2IntMatrix(
+    images = (SL2IntMatrix(1, 1, 0, 1), SL2IntMatrix(1, 0, 1, 1))
+    assert eval_word(parse_word("e", 2), images) == SL2IntMatrix.identity()
+    assert eval_word(parse_word("e", 2), images).trace == 2
+    a = images[0]
+    assert eval_word(parse_word("a^-1", 2), images) == SL2IntMatrix(
         a.d, -a.b, -a.c, a.a
     )
-    ab = eval_word(parse_word("a b", 2), rep)
+    ab = eval_word(parse_word("a b", 2), images)
     assert (ab.a, ab.b, ab.c, ab.d) == (2, 1, 1, 1)
     assert ab.trace == 3
     with pytest.raises(OracleError):
-        eval_word(parse_word("a", 1), rep)
+        eval_word(parse_word("a", 1), images)
+
+
+def test_subset_traces_match_the_subset_words():
+    # Prefixes missing from the list, and a repeat, are filled in on the way.
+    rng = random.Random(13)
+    subsets = [(2, 4), (1, 2, 3, 4), (3,), (1, 3), (2, 4), (1, 2, 3)]
+    for _ in range(20):
+        images = sample_representation(rng, 4)
+        expected = [
+            eval_word(reduce_word([(i, 1) for i in s], 4), images).trace
+            for s in subsets
+        ]
+        assert subset_traces(images, subsets) == expected
+    assert subset_traces(images, []) == []
 
 
 def test_trace_identities_random_pairs():
@@ -98,12 +109,13 @@ def test_fuzz_check_small_runs_clean():
 def test_fuzz_single_word_instance():
     # One fixed word checked against one explicit representation.
     rng = random.Random(9)
-    rep = sample_representation(rng, 2)
+    images = sample_representation(rng, 2)
     w = parse_word("a b^-1 a b", 2)
     engine = TraceEngine(ReductionMode.INTEGRAL)
     poly = engine.reduce(w)
-    assignment = subset_trace_assignment(rep, poly.variables())
-    assert poly.evaluate(assignment) == eval_word(w, rep).trace
+    variables = poly.variables()
+    traces = subset_traces(images, [v.subset for v in variables])
+    assert poly.evaluate(dict(zip(variables, traces))) == eval_word(w, images).trace
 
 
 def test_fuzz_rejects_bad_parameters():
@@ -119,13 +131,25 @@ def test_random_word_respects_budget():
         assert all(1 <= l.index <= 4 for l in w.letters)
 
 
+def _laurent_value(p, values):
+    """Exact value of a Laurent polynomial at nonzero rationals, term by term."""
+    total = Fraction(0)
+    for ev, c in p.terms.items():
+        term = Fraction(c)
+        for x, e in zip(values, ev):
+            term *= Fraction(x) ** e
+        total += term
+    return total
+
+
 def test_laurent_character_examples():
     from skeinlab.skein import abelian_from_vector, to_laurent
 
     u1 = to_laurent(abelian_from_vector(AbelianVector(1, (1,))))
-    assert u1.evaluate([3]) == Fraction(10, 3)
+    assert u1.terms == {(1,): 1, (-1,): 1}
     v11 = to_laurent(abelian_from_vector(AbelianVector(2, (1, 1))))
-    assert v11.evaluate([2, 3]) == Fraction(37, 6)
+    assert v11.terms == {(1, 1): 1, (-1, -1): 1}
+    assert _laurent_value(v11, [2, 3]) == Fraction(37, 6)
 
 
 def test_laurent_character_check_random():
@@ -148,5 +172,5 @@ def test_laurent_character_check_random():
         for lam, e in zip(lams, v.coords):
             direct *= lam**e
             inv *= lam ** (-e)
-        got = to_laurent(abelian_from_vector(v)).evaluate(lams)
+        got = _laurent_value(to_laurent(abelian_from_vector(v)), lams)
         assert got == direct + inv, (v, lams)

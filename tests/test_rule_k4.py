@@ -1,4 +1,12 @@
-from skeinlab.trace_engine import RuleK4, derive_rule_k4, verify_rule_k4
+import random
+
+from skeinlab.oracle import SL2IntMatrix, sample_sl2, subset_traces
+from skeinlab.trace_engine import (
+    RuleK4,
+    _monomial_value,
+    derive_rule_k4,
+    verify_rule_k4,
+)
 
 
 def test_bootstrap_succeeds_at_small_weight():
@@ -17,8 +25,13 @@ def test_identity_specialization_collapses():
     # Pinning the fourth matrix to the identity must still give zero residual,
     # i.e. the rule degenerates to a valid 3-matrix identity.
     rule = derive_rule_k4(0)
-    residuals = verify_rule_k4(rule, count=100, seed=78, specialize_identity=True)
-    assert residuals == [0] * 100
+    subsets = sorted({subset for m, _ in rule.coefficients for subset, _ in m})
+    rng = random.Random(78)
+    for _ in range(100):
+        ms = [sample_sl2(rng, 4) for _ in range(3)] + [SL2IntMatrix.identity()]
+        traces = dict(zip(subsets, subset_traces(ms, subsets)))
+        total = sum(c * _monomial_value(m, traces) for m, c in rule.coefficients)
+        assert total == 2 * (ms[0] * ms[1] * ms[2]).trace
 
 
 def test_coefficients_are_integers():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from skeinlab.exactpoly import LaurentPoly, Poly, PolyError, SubsetVar, is_integral
-from skeinlab.oracle import eval_word, sample_representation, subset_trace_assignment
+from skeinlab.oracle import eval_word, sample_representation, subset_traces
 from skeinlab.skein import (
     AbelianVar,
     SkeinElement,
@@ -92,11 +92,12 @@ def test_homomorphism_semantics_against_oracle():
             rank,
         )
         product = multiply(from_word(w1), from_word(w2))
-        rep = sample_representation(rng, rank)
-        assignment = subset_trace_assignment(rep, product.poly.variables())
+        images = sample_representation(rng, rank)
+        variables = product.poly.variables()
+        traces = subset_traces(images, [var.subset for var in variables])
         assert (
-            product.poly.evaluate(assignment)
-            == eval_word(w1, rep).trace * eval_word(w2, rep).trace
+            product.poly.evaluate(dict(zip(variables, traces)))
+            == eval_word(w1, images).trace * eval_word(w2, images).trace
         )
 
 
@@ -218,13 +219,13 @@ def reference_laurent(rank: int, poly: Poly) -> LaurentPoly:
         s = tuple(int(i in var.indices) for i in range(1, rank + 1))
         return LaurentPoly(rank, {s: 1, tuple(-e for e in s): 1})
 
-    pieces = []
+    total = LaurentPoly.zero(rank)
     for m, c in poly.terms.items():
         piece = LaurentPoly.const(rank, c)
         for var, e in m:
             piece = piece * image(var) ** e
-        pieces.append(piece)
-    return LaurentPoly.sum(rank, pieces)
+        total = total + piece
+    return total
 
 
 def test_to_laurent_matches_reference_expansion():

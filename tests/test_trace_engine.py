@@ -17,7 +17,7 @@ from skeinlab.oracle import (
     eval_word,
     sample_representation,
     sample_sl2,
-    subset_trace_assignment,
+    subset_traces,
 )
 from skeinlab.trace_engine import (
     MAX_SYMBOL_LENGTH,
@@ -42,6 +42,13 @@ T123 = SubsetVar((1, 2, 3))
 
 def v(var):
     return Poly.variable(var)
+
+
+def _value_at(poly, images):
+    """poly at the subset traces of the generator images."""
+    variables = poly.variables()
+    traces = subset_traces(images, [var.subset for var in variables])
+    return poly.evaluate(dict(zip(variables, traces)))
 
 
 def test_identity_and_generator():
@@ -84,10 +91,9 @@ def test_three_term_sort_identity():
     # Exact matrix-oracle check of the canonical form.
     rng = random.Random(22)
     for _ in range(50):
-        rep = sample_representation(rng, 3)
+        images = sample_representation(rng, 3)
         word = parse_word("a c b", 3)
-        assignment = subset_trace_assignment(rep, poly.variables())
-        assert poly.evaluate(assignment) == eval_word(word, rep).trace
+        assert _value_at(poly, images) == eval_word(word, images).trace
 
 
 def test_dyadic_abcd_uses_small_subsets_with_halves():
@@ -97,10 +103,9 @@ def test_dyadic_abcd_uses_small_subsets_with_halves():
     assert all(is_dyadic(c) for c in poly.terms.values())
     rng = random.Random(23)
     for _ in range(50):
-        rep = sample_representation(rng, 4)
-        assignment = subset_trace_assignment(rep, poly.variables())
-        value = poly.evaluate(assignment)
-        assert value == eval_word(parse_word("a b c d", 4), rep).trace
+        images = sample_representation(rng, 4)
+        value = _value_at(poly, images)
+        assert value == eval_word(parse_word("a b c d", 4), images).trace
 
 
 def test_oracle_soundness_random_words():
@@ -108,17 +113,15 @@ def test_oracle_soundness_random_words():
     engines = {mode: get_engine(mode) for mode in ReductionMode}
     for _ in range(200):
         rank = rng.randint(1, 4)
-        rep = sample_representation(rng, rank)
+        images = sample_representation(rng, rank)
         pairs = [
             (rng.randint(1, rank), rng.choice((-3, -2, -1, 1, 2, 3)))
             for _ in range(rng.randint(0, 5))
         ]
         w = reduce_word(pairs, rank)
-        expected = eval_word(w, rep).trace
+        expected = eval_word(w, images).trace
         for mode, engine in engines.items():
-            poly = engine.reduce(w)
-            assignment = subset_trace_assignment(rep, poly.variables())
-            assert poly.evaluate(assignment) == expected
+            assert _value_at(engine.reduce(w), images) == expected
 
 
 def test_conjugation_and_inversion_invariance():
@@ -180,8 +183,7 @@ def test_skein_basis_vars_counts():
 
 
 def test_memo_matches_fresh_recomputation():
-    shared = {}
-    warm = TraceEngine(ReductionMode.INTEGRAL, memo=shared)
+    warm = TraceEngine(ReductionMode.INTEGRAL)
     rng = random.Random(28)
     words = [
         reduce_word(
@@ -194,7 +196,7 @@ def test_memo_matches_fresh_recomputation():
     for w in words:
         fresh = TraceEngine(ReductionMode.INTEGRAL)
         assert warm.reduce(w) == fresh.reduce(w)
-    assert len(shared) > 0
+    assert len(warm.memo) > 0
 
 
 def test_deterministic_json_output():
@@ -210,14 +212,13 @@ def test_deep_word_reduces_under_the_default_recursion_limit():
     assert sys.getrecursionlimit() <= 1000
     w = parse_word("a^1000 b", 2)
     rng = random.Random(29)
-    reps = [sample_representation(rng, 2) for _ in range(3)]
+    samples = [sample_representation(rng, 2) for _ in range(3)]
     for mode in ReductionMode:
         engine = TraceEngine(mode, rule_k4=get_engine(mode).rule_k4)
         poly = engine.reduce(w)
         assert len(poly.terms) == 1000
-        for rep in reps:
-            assignment = subset_trace_assignment(rep, poly.variables())
-            assert poly.evaluate(assignment) == eval_word(w, rep).trace
+        for images in samples:
+            assert _value_at(poly, images) == eval_word(w, images).trace
 
 
 def test_word_longer_than_the_packed_field_is_refused():
@@ -360,18 +361,6 @@ def test_packed_engine_matches_poly_reference(mode):
     _assert_same_terms(
         words, [TraceEngine(mode, rule_k4=rule)], [_ReferenceEngine(mode, rule)]
     )
-
-
-def test_packed_engines_sharing_a_memo_match_reference():
-    rule = get_engine(ReductionMode.DYADIC).rule_k4
-    shared: dict = {}
-    engines = [
-        TraceEngine(mode, rule_k4=rule, memo=shared)
-        for mode in (ReductionMode.DYADIC, ReductionMode.INTEGRAL, ReductionMode.DYADIC)
-    ]
-    references = [_ReferenceEngine(e.mode, rule) for e in engines]
-    words = _random_words(random.Random(31), range(2, 6), 25, 7)
-    _assert_same_terms(words, engines, references)
 
 
 def test_packed_engine_matches_reference_past_field_63():

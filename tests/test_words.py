@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,7 +14,6 @@ from skeinlab.words import (
     invert,
     parse_word,
     reduce_word,
-    subset_word,
 )
 
 
@@ -166,27 +166,13 @@ def test_cyclic_key_matches_reference_definition():
         assert cyclic_key(w) == _reference_cyclic_key(w), w
 
 
-def test_subset_word_examples():
-    assert subset_word({2}, 3).letters == (Letter(2, 1),)
-    assert subset_word({1, 3}, 3).letters == (Letter(1, 1), Letter(3, 1))
-    assert subset_word({1, 2, 3}, 3).letters == (
-        Letter(1, 1),
-        Letter(2, 1),
-        Letter(3, 1),
-    )
-    with pytest.raises(WordError):
-        subset_word(set(), 3)
-    with pytest.raises(WordError):
-        subset_word({4}, 3)
-
-
 def test_subset_words_are_reduced_fixed_points():
     for rank in range(1, 5):
         for size in range(1, rank + 1):
             for subset in itertools.combinations(range(1, rank + 1), size):
-                w = subset_word(subset, rank)
-                pairs = [(l.index, l.exponent) for l in w.letters]
-                assert reduce_word(pairs, rank) == w
+                w = reduce_word([(i, 1) for i in subset], rank)
+                assert w.letters == tuple(Letter(i, 1) for i in subset)
+                assert cyclic_key(w) == w
 
 
 def test_parse_and_format_round_trip():
@@ -209,3 +195,7 @@ def test_parse_word_errors():
         parse_word("e a", 2)
     with pytest.raises(WordError):
         parse_word("a", 0)
+    for token in ("a^", "b^x", "g2^"):
+        message = re.escape(f"bad exponent in token '{token}'")
+        with pytest.raises(WordError, match=message):
+            parse_word(f"a {token}", 2)
