@@ -25,7 +25,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -422,19 +422,28 @@ def _sample_generator_values(
 
     h = 1 for free groups.  For abelian groups h is the lcm of denominators
     whose primes are at most 7, so h is a unit modulo every harvest prime.
+    An abelian generator is x + 1/x for a product x = a/b of the eigenvalues
+    ±(1..9)/(1..9), kept as a pair of ints.
     """
     kind, n = spec
     if kind == "free":
         images = sample_representation(rng, n, walk_length=5)
         return [1] + subset_traces(images, [v.subset for v in gen_vars])
     lams = [
-        Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
-        for _ in range(n)
+        (rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9)) for _ in range(n)
     ]
-    prods = [prod(lams[i - 1] for i in v.indices) for v in gen_vars]
-    values = [x + 1 / x for x in prods]
-    h = lcm(*(x.denominator for x in values))
-    return [h] + [int(x * h) for x in values]
+    values = []
+    for v in gen_vars:
+        a = prod(lams[i - 1][0] for i in v.indices)
+        b = prod(lams[i - 1][1] for i in v.indices)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        # (a^2 + b^2) / (a b) is in lowest terms: a prime dividing a b divides
+        # exactly one of a, b, so it does not divide a^2 + b^2.
+        s = a * a + b * b
+        values.append((s if a > 0 else -s, abs(a) * b))
+    h = lcm(*(den for _, den in values))
+    return [h] + [num * (h // den) for num, den in values]
 
 
 def _monomial_matrix_mod_p(
@@ -476,21 +485,39 @@ def _certified_zero(
     monos: Sequence[tuple[int, ...]],
     relations: Sequence[Sequence[int]],
     degree_bound: int,
+    fresh: Sequence[Sequence[int]],
+    bases: dict[int, tuple[np.ndarray, list[int]]],
 ) -> bool:
-    """Exact check that every relation vanishes on every sample row [h, a_1, ...].
+    """Exact check that every relation vanishes on every row [h, a_1, ...].
 
-    At a row, h^D times a relation's value is an integer of absolute value at
-    most sum |c| * max(h, |a_i|)^D, D the degree bound.  As h is a unit
-    modulo every prime, vanishing modulo certification primes whose product
-    exceeds twice that bound proves exact vanishing.
+    The rows are the samples and then the fresh rows.  At a row, h^D times a
+    relation's value is an integer of absolute value at most
+    sum |c| * max(h, |a_i|)^D, D the degree bound.  As h is a unit modulo
+    every prime, vanishing modulo certification primes whose product exceeds
+    twice that bound proves exact vanishing.
+
+    bases maps a prime q to a nullspace basis B_q mod q, and its pivot rows,
+    that every sample row annihilates, as `nullspace_mod_p` returns them;
+    B_q is the identity on its other rows F.  If every relation c satisfies
+    c = B_q c[F] mod q, each lies in the span of B_q, so every sample row
+    vanishes on it mod q and only the fresh rows are evaluated at q.  The
+    soundness rests on this span check alone, not on how the relations were
+    found; at any other prime every row is evaluated.
     """
     if not relations:
         return True
+    rows = [*samples, *fresh]
     sum_abs = max(sum(abs(c) for c in rel) for rel in relations)
-    bound = sum_abs * max(abs(v) for row in samples for v in row) ** degree_bound
+    bound = sum_abs * max(abs(v) for row in rows for v in row) ** degree_bound
     for q in _modlin.primes_covering(bound):
-        v_q = _monomial_matrix_mod_p(samples, monos, q)
         c_q = np.array([[c % q for c in rel] for rel in relations], dtype=np.int64)
+        todo = rows
+        if q in bases:
+            basis, pivots = bases[q]
+            free = sorted(set(range(len(monos))) - set(pivots))
+            if (_modlin.matmul_mod_p(c_q[:, free], basis.T, q) == c_q).all():
+                todo = fresh
+        v_q = _monomial_matrix_mod_p(todo, monos, q)
         if _modlin.matmul_mod_p(v_q, c_q.T, q).any():
             return False
     return True
@@ -531,9 +558,11 @@ def harvest_relations(
 
     # The CRT lift of the nullspace bases modulo the product of the primes so far.
     lift, modulus, pivot_ref = None, 1, None
+    # Every nullspace basis by its prime: certification reuses them.
+    bases = {}
     for p in itertools.islice(_modlin.primes(), HARVEST_PRIMES):
         v_p = _monomial_matrix_mod_p(samples, monos, p)
-        basis_p, pivots_p = _modlin.nullspace_mod_p(v_p, p)
+        basis_p, pivots_p = bases[p] = _modlin.nullspace_mod_p(v_p, p)
         if basis_p.shape[1] == 0:
             # Mod-p emptiness certifies rational emptiness: a primitive integer
             # relation would reduce to a nonzero mod-p nullspace vector.
@@ -547,7 +576,7 @@ def harvest_relations(
         rel_vectors = _reconstruct_relations(lift, modulus)
         # A failed reconstruction or certification widens the modulus by a prime.
         if rel_vectors is not None and _certified_zero(
-            samples + fresh, monos, rel_vectors, degree_bound
+            samples, monos, rel_vectors, degree_bound, fresh, bases
         ):
             relations = [_vector_to_poly(vec, monos, gen_vars) for vec in rel_vectors]
             return RelationBasis(group_spec, degree_bound, seed, sample_count, relations)

@@ -599,16 +599,19 @@ def poly_from_dict(data: Mapping, var_parser=None) -> Poly:
     """Rebuild a Poly from the JSON schema.
 
     Monomial entries carrying a "subset" key become SubsetVars; entries with
-    a "var" name are resolved through var_parser.  Each power is a JSON
-    integer >= 1 and each variable appears once per monomial, as written by
-    poly_to_dict.
+    a "var" name are resolved through var_parser.  Each subset entry is a
+    JSON integer, each power a JSON integer >= 1, and each variable appears
+    once per monomial, as written by poly_to_dict.
     """
     terms: dict[Monomial, Coeff] = {}
     for entry in data["terms"]:
         mono = []
         for item in entry["monomial"]:
             if "subset" in item:
-                var = SubsetVar(item["subset"])
+                subset = item["subset"]
+                if any(type(i) is not int for i in subset):
+                    raise PolyError(f"subset entries must be integers, got {subset!r}")
+                var = SubsetVar(subset)
             else:
                 if var_parser is None:
                     raise PolyError(f"no parser for variable {item['var']!r}")

@@ -68,18 +68,22 @@ class SL2IntMatrix:
 
 
 def sample_sl2(rng: random.Random, walk_length: int) -> SL2IntMatrix:
-    """Product of walk_length elementary matrices with entries in [-3, 3]."""
+    """Product of walk_length elementary matrices with entries in [-3, 3].
+
+    The walk runs on four ints: right-multiplying by [[1, e], [0, 1]] adds e
+    times the first column to the second, and by [[1, 0], [e, 1]] the reverse.
+    The determinant is checked once, on the product.
+    """
     if walk_length < 1:
         raise OracleError("walk_length must be >= 1")
-    m = SL2IntMatrix.identity()
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(walk_length):
-        entry = rng.randint(-3, 3)
+        e = rng.randint(-3, 3)
         if rng.randrange(2) == 0:
-            step = SL2IntMatrix(1, entry, 0, 1)
+            b, d = b + a * e, d + c * e
         else:
-            step = SL2IntMatrix(1, 0, entry, 1)
-        m = m * step
-    return m
+            a, c = a + b * e, c + d * e
+    return SL2IntMatrix(a, b, c, d)
 
 
 def sample_representation(

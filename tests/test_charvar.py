@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 
@@ -30,7 +30,13 @@ from skeinlab.charvar import (
     x_z2_relation_poly,
 )
 from skeinlab.exactpoly import LaurentPoly, Poly, SubsetVar, poly_divide
-from skeinlab.oracle import eval_word, sample_representation, sample_sl2
+from skeinlab.oracle import (
+    SL2IntMatrix,
+    eval_word,
+    sample_representation,
+    sample_sl2,
+    subset_traces,
+)
 from skeinlab.selftest import _frac_mat_mul, trefoil_rational_representation
 from skeinlab.skein import SkeinElement, to_laurent
 from skeinlab.trace_engine import ReductionMode, reduce_trace
@@ -311,9 +317,108 @@ def test_certified_zero_sums_past_int64_in_blocks():
     columns = 4200
     relation = [-1] * (columns // 2) + [1] * (columns // 2)
     monos = [(1,)] * columns
-    assert _certified_zero([(1, -1)], monos, [relation], 1)
+    assert _certified_zero([(1, -1)], monos, [relation], 1, [], {})
     relation[-1] = -1
-    assert not _certified_zero([(1, -1)], monos, [relation], 1)
+    assert not _certified_zero([(1, -1)], monos, [relation], 1, [], {})
+
+
+def test_certified_zero_trusts_a_known_basis_only_for_relations_in_its_span(
+    monkeypatch,
+):
+    # Columns 1, x, x^2.  The samples x = 2, 3 annihilate only (x - 2)(x - 3).
+    # x - 2 vanishes on the fresh row x = 2 but not on the sample x = 3, and
+    # is outside the known basis's span.  Every bound here needs one prime.
+    from skeinlab import charvar
+
+    monos = [(0,), (1,), (2,)]
+    samples, fresh = [[1, 2], [1, 3]], [[1, 2]]
+    (q,) = _modlin.primes_covering(12 * 4**2)
+    v_q = _monomial_matrix_mod_p(samples, monos, q)
+    bases = {q: _modlin.nullspace_mod_p(v_q, q)}
+    evaluated = []
+
+    def counting(rows, *args):
+        evaluated.append(len(rows))
+        return _monomial_matrix_mod_p(rows, *args)
+
+    monkeypatch.setattr(charvar, "_monomial_matrix_mod_p", counting)
+    assert not _certified_zero(samples, monos, [[-2, 1, 0]], 2, fresh, bases)
+    assert evaluated == [3]
+    # In the span: only the fresh rows are evaluated, and they still count.
+    evaluated.clear()
+    assert _certified_zero(samples, monos, [[6, -5, 1]], 2, fresh, bases)
+    assert evaluated == [1]
+    assert not _certified_zero(samples, monos, [[6, -5, 1]], 2, [[1, 4]], bases)
+
+
+def _per_step_sl2(rng, walk_length):
+    """The reference walk: one determinant-checked matrix per elementary step."""
+    m = SL2IntMatrix.identity()
+    for _ in range(walk_length):
+        entry = rng.randint(-3, 3)
+        if rng.randrange(2) == 0:
+            step = SL2IntMatrix(1, entry, 0, 1)
+        else:
+            step = SL2IntMatrix(1, 0, entry, 1)
+        m = m * step
+    return m
+
+
+def _reference_sample_row(spec, gen_vars, rng):
+    """The reference row: per-step matrices, or Fraction eigenvalues."""
+    kind, n = spec
+    if kind == "free":
+        images = [_per_step_sl2(rng, 5) for _ in range(n)]
+        return images, [1] + subset_traces(images, [v.subset for v in gen_vars])
+    lams = [
+        Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.randint(1, 9))
+        for _ in range(n)
+    ]
+    prods = [prod(lams[i - 1] for i in v.indices) for v in gen_vars]
+    values = [x + 1 / x for x in prods]
+    h = lcm(*(x.denominator for x in values))
+    return None, [h] + [int(x * h) for x in values]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [(kind, n) for kind in ("free", "abelian") for n in (2, 3, 4)],
+    ids=lambda spec: "%s:%d" % spec,
+)
+def test_sample_rows_match_the_reference_walk_and_fraction_rows(spec):
+    gen_vars = generator_vars(spec)
+    rng, images_rng, replay = random.Random(9), random.Random(9), random.Random(9)
+    for _ in range(300):
+        images, row = _reference_sample_row(spec, gen_vars, replay)
+        if images is not None:
+            assert sample_representation(images_rng, spec[1], 5) == tuple(images)
+        assert _sample_generator_values(spec, gen_vars, rng) == row
+    assert rng.random() == replay.random()
+
+
+@pytest.mark.parametrize("n, degree, count", [(2, 6, 20), (3, 4, 45)])
+def test_abelian_harvest_is_the_exact_laurent_kernel(n, degree, count):
+    # C[X(Z^n)] is the ring of symmetric Laurent polynomials, so the degree-<= d
+    # relations are exactly the integer kernel of the map sending each monomial
+    # in u_i, v_jk to its Laurent image: an answer with no sampling in it.
+    spec = ("abelian", n)
+    gen_vars = generator_vars(spec)
+    monos = monomial_exponents(len(gen_vars), degree)
+
+    def laurent(poly):
+        return to_laurent(SkeinElement(n, ReductionMode.DYADIC, "abelian", poly))
+
+    images = [
+        laurent(Poly({tuple((gen_vars[i], e) for i, e in enumerate(m) if e): 1}))
+        for m in monos
+    ]
+    keys = sorted({k for image in images for k in image.terms})
+    rows = [[image.terms.get(k, 0) for k in keys] for image in images]
+    kernel_dim = len(monos) - len(_modlin.int_rref(rows)[1])
+    assert kernel_dim == count
+    basis = harvest_relations(spec, degree, 2 * len(monos), seed=11)
+    assert len(basis.relations) == kernel_dim
+    assert all(laurent(rel).is_zero() for rel in basis.relations)
 
 
 def _sample_rows(spec, count, seed=5):

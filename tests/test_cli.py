@@ -241,6 +241,8 @@ def test_tangent_missing_file(capsys):
         b'{"group": "abelian:2", "degree_bound": 3, "relations": [{"terms": '
         b'[{"coeff": "1", "monomial": [{"var": "u1", "power": 1}, '
         b'{"var": "u1", "power": -1}]}]}]}',
+        b'{"group": "free:2", "degree_bound": 3, "relations": [{"terms": '
+        b'[{"coeff": "1", "monomial": [{"subset": [true, 2.0], "power": 1}]}]}]}',
     ],
     ids=[
         "missing",
@@ -260,6 +262,7 @@ def test_tangent_missing_file(capsys):
         "fractional-power",
         "bool-power",
         "repeated-variable",
+        "subset-entries-not-int",
     ],
 )
 def test_tangent_corrupt_file_is_usage_error(capsys, tmp_path, content):

@@ -18,16 +18,17 @@ from skeinlab.words import AbelianVector, parse_word, reduce_word
 
 
 class _StubRng:
-    """Deterministic rng stub: fixed entry, always the upper elementary side."""
+    """Deterministic rng stub: fixed entry, fixed elementary side (0 is upper)."""
 
-    def __init__(self, entry):
+    def __init__(self, entry, side=0):
         self.entry = entry
+        self.side = side
 
     def randint(self, a, b):
         return self.entry
 
     def randrange(self, n):
-        return 0
+        return self.side
 
 
 def test_sample_identity_walk():
@@ -37,6 +38,7 @@ def test_sample_identity_walk():
 def test_sample_single_elementary_step():
     m = sample_sl2(_StubRng(2), 1)
     assert (m.a, m.b, m.c, m.d) == (1, 2, 0, 1)
+    assert sample_sl2(_StubRng(2, side=1), 3) == SL2IntMatrix(1, 0, 6, 1)
 
 
 def test_determinant_enforced():

@@ -55,3 +55,29 @@ def test_one_seeded_round_of_each_workload_passes_its_checks(monkeypatch, name):
     _, failed = workload.run_round()
     assert failed == 0
     assert workload.check() == []
+
+
+def test_tracer_sees_every_harvest_layer(monkeypatch):
+    # The harvest's layer metrics read functions at the names the tracer
+    # wraps; a refactor that routes around one would zero its metric.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS["harvest"]()
+    t = tracer.Tracer()
+    try:
+        t.install()  # before set-up, as perfbench/worker.py does
+        workload.setup(1)
+        _, failed = workload.run_round()
+    finally:
+        t.restore()
+    assert failed == 0
+    calls = t.summary()
+    for name in (
+        "oracle.sample_representation",
+        "charvar._monomial_matrix_mod_p",
+        "charvar._certified_zero",
+        "modlin.nullspace_mod_p",
+        "modlin.primes_covering",
+    ):
+        assert calls.get(f"{name}.calls", 0) > 0, name
