@@ -11,8 +11,9 @@ Three computations live here:
 
 * relation harvesting: the polynomial relations among the canonical
   generators, found as the nullspace of an exact evaluation matrix over
-  random representations (modular ranks first, rational reconstruction,
-  then a certified exact verification pass);
+  random representations, one block of sign-class columns at a time
+  (modular ranks first, rational reconstruction, then a certified exact
+  verification pass);
 
 * tangent-space dimensions at the trivial character chi_0 (every generator
   equal to 2): ambient generator count minus the rank of the relation
@@ -523,6 +524,53 @@ def _certified_zero(
     return True
 
 
+def _sign_class(powers) -> int:
+    """The H^1(G; Z/2) class of a monomial given as (variable, exponent) pairs.
+
+    A sign character eps flips generator i when bit i of its mask is set, and
+    multiplies the coordinate of an index set S by the product of its flips,
+    so a variable's class is the mask of its index set and a monomial's is
+    the XOR of the classes of its odd powers.
+    """
+    c = 0
+    for v, e in powers:
+        if e & 1:
+            for i in v._key[1]:
+                c ^= 1 << i
+    return c
+
+
+def _sign_blocks(
+    gen_vars: Sequence, monos: Sequence[tuple[int, ...]]
+) -> list[np.ndarray]:
+    """The column indices of monos, one ascending int array per sign class."""
+    by_class: dict[int, list[int]] = {}
+    for j, mono in enumerate(monos):
+        by_class.setdefault(_sign_class(zip(gen_vars, mono)), []).append(j)
+    return [np.array(cols) for cols in by_class.values()]
+
+
+def _nullspace_by_sign_class(
+    v_p: np.ndarray, blocks: Sequence[np.ndarray], p: int
+) -> tuple[np.ndarray, list[int]]:
+    """`nullspace_mod_p` of v_p, one block of sign-class columns at a time.
+
+    Each block's canonical basis goes on that block's rows, the columns are
+    ordered by their free column and the pivots merged, so the result is the
+    identity on its free rows.  It is the canonical basis of the direct sum
+    of the blocks' nullspaces: that of v_p whenever v_p's nullspace is graded.
+    """
+    pivots, free, parts = [], [], []
+    for block in blocks:
+        basis, piv = _modlin.nullspace_mod_p(v_p[:, block], p)
+        pivots += block[piv].tolist()
+        free += np.delete(block, piv).tolist()
+        part = np.zeros((v_p.shape[1], basis.shape[1]), dtype=np.int64)
+        part[block] = basis
+        parts.append(part)
+    return np.hstack(parts)[:, np.argsort(free)], sorted(pivots)
+
+
 # Nullspace primes a harvest may draw: six primes of 23 bits, about 2^138.
 HARVEST_PRIMES = 6
 
@@ -537,7 +585,18 @@ def harvest_relations(
 
     Every returned relation is a primitive integer-coefficient polynomial
     that provably vanishes at the generator values of every sampled
-    representation and of a fresh held-out batch.
+    representation and of a fresh held-out batch; `_certified_zero` alone
+    proves it.
+
+    The sign characters H^1(G; Z/2) act on X(G) by rho -> eps rho and grade
+    its ideal by `_sign_class` (Heusener-Porti, Bol. Soc. Mat. Mexicana 10,
+    2004), so the nullspace is found one block of same-class monomials at a
+    time.  That returns the class-homogeneous relations on the samples: the
+    same as one nullspace of every column whenever the relations on the
+    samples are sign-invariant, as they are for generic samples.  An empty
+    result is still a certificate: each class component of a relation is a
+    relation, and a primitive integer one reduces to a nonzero vector of its
+    block's nullspace mod p, so every block is empty only if no relation is.
     """
     kind, n = group_spec
     if kind not in ("free", "abelian"):
@@ -555,6 +614,7 @@ def harvest_relations(
         for _ in range(sample_count)
     ]
     fresh = [_sample_generator_values(group_spec, gen_vars, rng) for _ in range(50)]
+    blocks = _sign_blocks(gen_vars, monos)
 
     # The CRT lift of the nullspace bases modulo the product of the primes so far.
     lift, modulus, pivot_ref = None, 1, None
@@ -562,10 +622,9 @@ def harvest_relations(
     bases = {}
     for p in itertools.islice(_modlin.primes(), HARVEST_PRIMES):
         v_p = _monomial_matrix_mod_p(samples, monos, p)
-        basis_p, pivots_p = bases[p] = _modlin.nullspace_mod_p(v_p, p)
+        basis_p, pivots_p = bases[p] = _nullspace_by_sign_class(v_p, blocks, p)
         if basis_p.shape[1] == 0:
-            # Mod-p emptiness certifies rational emptiness: a primitive integer
-            # relation would reduce to a nonzero mod-p nullspace vector.
+            # Every block is empty mod p: no relation at all (see above).
             return RelationBasis(group_spec, degree_bound, seed, sample_count, [])
         if pivots_p != pivot_ref:
             # The first prime, or an unlucky one dropped rank: restart the lift.

@@ -70,11 +70,11 @@ class InternedVar:
     uses the default identity hash, in C.  Interning also gives each variable
     the next exponent field of a packed monomial: the n-th variable of a
     subclass owns bits [n*FIELD_BITS, (n+1)*FIELD_BITS), fixed for the life of
-    the process.  Subclasses name the set, print themselves and choose the
-    error raised for a bad set.
+    the process.  The repr is built once, at intern time.  Subclasses name the
+    set, print themselves and choose the error raised for a bad set.
     """
 
-    __slots__ = ("_key", "_shift")
+    __slots__ = ("_key", "_shift", "_repr")
     _error: type[ValueError] = PolyError
     _noun = "index set"
 
@@ -96,6 +96,7 @@ class InternedVar:
         self = object.__new__(cls)
         self._key = (len(key), key)
         self._shift = FIELD_BITS * len(cls._interned)
+        self._repr = f"{cls.__name__}({key})"
         cls._registry[key] = self
         cls._interned.append(self)
         return self
@@ -107,6 +108,9 @@ class InternedVar:
     def __lt__(self, other: "InternedVar") -> bool:
         return self._key < other._key
 
+    def __repr__(self) -> str:
+        return self._repr
+
 
 class SubsetVar(InternedVar):
     """Trace coordinate t_S for a nonempty sorted index set S."""
@@ -117,9 +121,6 @@ class SubsetVar(InternedVar):
     @property
     def subset(self) -> tuple[int, ...]:
         return self._key[1]
-
-    def __repr__(self) -> str:
-        return f"SubsetVar({self.subset})"
 
     def __str__(self) -> str:
         if len(self.subset) == 1:

@@ -55,9 +55,6 @@ class AbelianVar(InternedVar):
     def indices(self) -> tuple[int, ...]:
         return self._key[1]
 
-    def __repr__(self) -> str:
-        return f"AbelianVar({self.indices})"
-
     def __str__(self) -> str:
         if len(self.indices) == 1:
             return f"u{self.indices[0]}"

@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 from math import lcm, prod
 
+import numpy as np
 import pytest
 
 from skeinlab import _modlin
 from skeinlab.charvar import (
+    HARVEST_PRIMES,
     CharVarError,
     HarvestError,
     TwoBridgeDivisionError,
@@ -14,7 +16,12 @@ from skeinlab.charvar import (
     _certified_zero,
     _constant_gcd,
     _monomial_matrix_mod_p,
+    _nullspace_by_sign_class,
+    _reconstruct_relations,
     _sample_generator_values,
+    _sign_blocks,
+    _sign_class,
+    _vector_to_poly,
     abelian_divisor,
     check_harvest_size,
     check_x_z2_identity,
@@ -38,9 +45,9 @@ from skeinlab.oracle import (
     subset_traces,
 )
 from skeinlab.selftest import _frac_mat_mul, trefoil_rational_representation
-from skeinlab.skein import SkeinElement, to_laurent
+from skeinlab.skein import SkeinElement, abelian_from_vector, to_laurent
 from skeinlab.trace_engine import ReductionMode, reduce_trace
-from skeinlab.words import reduce_word
+from skeinlab.words import AbelianVector, reduce_word
 
 T1 = SubsetVar((1,))
 T12 = SubsetVar((1, 2))
@@ -660,3 +667,135 @@ def test_failed_certification_widens_the_modulus(monkeypatch):
         harvest_relations(("abelian", 2), 3, 2 * len(monos), seed=11)
     # Every prime after the first gives a candidate; each one fails.
     assert len(calls) == charvar.HARVEST_PRIMES - 1
+
+
+# ---------------------------------------------------------------------------
+# Harvest by sign-character blocks
+# ---------------------------------------------------------------------------
+
+
+def _harvest_samples(spec, degree, seed):
+    """The sample and fresh rows `harvest_relations` draws, and its variables."""
+    gen_vars = generator_vars(spec)
+    monos = monomial_exponents(len(gen_vars), degree)
+    rng = random.Random(f"skeinlab-harvest-{spec[0]}-{spec[1]}-{degree}-{seed}")
+    samples = [
+        _sample_generator_values(spec, gen_vars, rng) for _ in range(2 * len(monos))
+    ]
+    fresh = [_sample_generator_values(spec, gen_vars, rng) for _ in range(50)]
+    return gen_vars, monos, samples, fresh
+
+
+def _plain_harvest(spec, degree, seed):
+    """The harvest loop on one nullspace of every column: the reference route."""
+    gen_vars, monos, samples, fresh = _harvest_samples(spec, degree, seed)
+    lift, modulus, pivot_ref, bases = None, 1, None, {}
+    for p in itertools.islice(_modlin.primes(), HARVEST_PRIMES):
+        v_p = _monomial_matrix_mod_p(samples, monos, p)
+        basis_p, pivots_p = bases[p] = _modlin.nullspace_mod_p(v_p, p)
+        if basis_p.shape[1] == 0:
+            return []
+        if pivots_p != pivot_ref:
+            lift, modulus, pivot_ref = basis_p.astype(object), p, pivots_p
+            continue
+        lift = _modlin.crt_pair(lift, modulus, basis_p.astype(object), p)
+        modulus *= p
+        rel_vectors = _reconstruct_relations(lift, modulus)
+        if rel_vectors is not None and _certified_zero(
+            samples, monos, rel_vectors, degree, fresh, bases
+        ):
+            return [_vector_to_poly(vec, monos, gen_vars) for vec in rel_vectors]
+    raise HarvestError("the reference harvest did not certify")
+
+
+# The four instances of the benchmark's harvest round, and free:4 at degree 3.
+HARVEST_INSTANCES = [
+    (("free", 3), 5), (("abelian", 3), 4), (("abelian", 2), 6), (("free", 2), 4),
+]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize(
+    "spec, degree",
+    HARVEST_INSTANCES + [(("free", 4), 3)],
+    ids=lambda x: "%s:%d" % x if isinstance(x, tuple) else "d%d" % x,
+)
+def test_blocked_harvest_matches_the_plain_route(spec, degree, seed):
+    monos = monomial_exponents(len(generator_vars(spec)), degree)
+    blocked = harvest_relations(spec, degree, 2 * len(monos), seed).relations
+    plain = _plain_harvest(spec, degree, seed)
+    # Equal polynomials with their terms in the same order.
+    assert [list(r.terms.items()) for r in blocked] == [
+        list(r.terms.items()) for r in plain
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, degree",
+    HARVEST_INSTANCES,
+    ids=lambda x: "%s:%d" % x if isinstance(x, tuple) else "d%d" % x,
+)
+def test_blocked_basis_keeps_the_certificate_contract(spec, degree):
+    # At the first harvest prime: the identity on its free rows, annihilated
+    # by every sample row, the union of the blocks' pivots, and equal to the
+    # nullspace of the full matrix, as `_certified_zero`'s span check assumes.
+    gen_vars, monos, samples, _ = _harvest_samples(spec, degree, 11)
+    p = next(_modlin.primes())
+    v_p = _monomial_matrix_mod_p(samples, monos, p)
+    blocks = _sign_blocks(gen_vars, monos)
+    basis, pivots = _nullspace_by_sign_class(v_p, blocks, p)
+    free = sorted(set(range(len(monos))) - set(pivots))
+    assert (basis[free] == np.eye(len(free), dtype=np.int64)).all()
+    assert not _modlin.matmul_mod_p(v_p, basis, p).any()
+    block_pivots = [
+        int(block[i])
+        for block in blocks
+        for i in _modlin.nullspace_mod_p(v_p[:, block], p)[1]
+    ]
+    assert pivots == sorted(block_pivots)
+    plain_basis, plain_pivots = _modlin.nullspace_mod_p(v_p, p)
+    assert pivots == plain_pivots
+    assert basis.dtype == plain_basis.dtype
+    assert np.array_equal(basis, plain_basis)
+    assert sorted(np.concatenate(blocks).tolist()) == list(range(len(monos)))
+
+
+def _word_class(word) -> int:
+    """The XOR of 1 << i over the generators i of odd total exponent."""
+    c = 0
+    for letter in word.letters:
+        if letter.exponent & 1:
+            c ^= 1 << letter.index
+    return c
+
+
+@pytest.mark.parametrize("mode", list(ReductionMode))
+def test_trace_terms_lie_in_the_word_sign_class(mode):
+    # tr(eps rho)(w) = eps(w) tr(rho)(w): every term of the trace polynomial
+    # of w has w's class, which is what lets the harvest split by class.
+    rng = random.Random(41)
+    for rank in range(1, 5):
+        for _ in range(60):
+            word = reduce_word(
+                [
+                    (rng.randint(1, rank), rng.choice((-3, -2, -1, 1, 2, 3)))
+                    for _ in range(rng.randint(0, 8))
+                ],
+                rank,
+            )
+            poly = reduce_trace(word, mode)
+            assert {_sign_class(m) for m in poly.terms} <= {_word_class(word)}
+
+
+@pytest.mark.parametrize("mode", list(ReductionMode))
+def test_abelian_terms_lie_in_the_vector_parity_class(mode):
+    rng = random.Random(42)
+    for rank in range(1, 5):
+        for _ in range(60):
+            coords = tuple(rng.randint(-3, 3) for _ in range(rank))
+            parity = 0
+            for i, x in enumerate(coords, 1):
+                if x & 1:
+                    parity ^= 1 << i
+            poly = abelian_from_vector(AbelianVector(rank, coords), mode).poly
+            assert {_sign_class(m) for m in poly.terms} <= {parity}

@@ -286,6 +286,21 @@ def test_harvest_insufficient_samples(capsys):
     assert "insufficient" in err
 
 
+def test_harvest_that_cannot_certify_is_usage_error(capsys, monkeypatch):
+    # The remedy is another seed or more samples, not a failed check: exit 2.
+    from skeinlab import charvar
+
+    monkeypatch.setattr(charvar, "_certified_zero", lambda *args: False)
+    code, out, err = invoke(
+        capsys, ["harvest", "--group", "abelian:2", "--degree", "3", "--seed", "11"]
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("skeinlab: error: no certified relations within 6 primes")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

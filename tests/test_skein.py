@@ -341,6 +341,24 @@ def test_abelian_var_parsing():
         parse_abelian_var("q7")
 
 
+def test_interned_variable_repr_is_the_class_and_index_tuple():
+    # Built once at intern time, with the text the subclasses used to build.
+    for var, text in [
+        (SubsetVar((1, 2)), "SubsetVar((1, 2))"),
+        (SubsetVar((3,)), "SubsetVar((3,))"),
+        (SubsetVar([9, 5, 9]), "SubsetVar((5, 9))"),
+        (AbelianVar((3,)), "AbelianVar((3,))"),
+        (AbelianVar((2, 1)), "AbelianVar((1, 2))"),
+        (AbelianVar((1, 4, 6)), "AbelianVar((1, 4, 6))"),
+    ]:
+        assert repr(var) == text
+    # The text a term list's repr shows, as hashed by the benchmark digest.
+    terms = (Poly.variable(SubsetVar((1, 2))) * Poly.variable(SubsetVar((3,)))).terms
+    assert repr(list(terms.items())) == (
+        "[(((SubsetVar((3,)), 1), (SubsetVar((1, 2)), 1)), 1)]"
+    )
+
+
 def test_interned_variables_share_one_base():
     # One object per index set and per class, so equality is identity.
     assert SubsetVar([2, 1, 2]) is T12
